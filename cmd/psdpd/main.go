@@ -114,6 +114,7 @@ func main() {
 
 	ctx, stopCluster := context.WithCancel(context.Background())
 	defer stopCluster()
+	var rep *cluster.Replica
 	if *clusterList != "" {
 		members := splitMembers(*clusterList)
 		if *self == "" {
@@ -128,14 +129,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "psdpd: -self %q is not in -cluster %q\n", *self, *clusterList)
 			os.Exit(1)
 		}
-		rep := cluster.NewReplica(cluster.ReplicaConfig{
+		rep = cluster.NewReplica(cluster.ReplicaConfig{
 			Self:           *self,
 			Members:        members,
 			ProbeInterval:  *probeInterval,
 			LocalResults:   store.NewResultLRU(*cacheEntries),
 			LocalRevisions: store.NewRevisionLRU(*revisions),
 		})
-		rep.Start(ctx)
 		cfg.Results = rep.Results
 		cfg.Revisions = rep.Revisions
 		cfg.Placement = rep.Ring
@@ -156,6 +156,11 @@ func main() {
 	httpSrv := &http.Server{Handler: srv}
 	log.Printf("psdpd: listening on http://%s (workers=%d queue=%d cache=%d timeout=%s)",
 		ln.Addr(), *workers, *queue, *cacheEntries, *timeout)
+	if rep != nil {
+		// Probe only once the listener is up: the first round includes
+		// this replica's own /readyz, which must not be refused.
+		rep.Start(ctx)
+	}
 
 	var opsSrv *http.Server
 	if *opsAddr != "" {

@@ -40,3 +40,11 @@ func defaultClient(timeout time.Duration) *http.Client {
 }
 
 func nowRFC3339() string { return time.Now().UTC().Format(time.RFC3339) }
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -58,7 +58,9 @@ type testFleet struct {
 }
 
 // bootFleet starts n psdpd replicas in cluster mode over real HTTP
-// listeners, exactly as cmd/psdpd -cluster wires them. mut, if non-nil,
+// listeners, exactly as cmd/psdpd -cluster wires them, and returns once
+// every replica's prober has converged (its last round found every
+// member healthy), so every ring holds every member. mut, if non-nil,
 // adjusts each replica's serve.Config before boot.
 func bootFleet(t *testing.T, n int, mut func(i int, cfg *serve.Config)) *testFleet {
 	t.Helper()
@@ -100,10 +102,19 @@ func bootFleet(t *testing.T, n int, mut func(i int, cfg *serve.Config)) *testFle
 		rep.Start(ctx)
 		r.srv, r.rep = srv, rep
 	}
+	waitFor(t, func() bool {
+		for _, r := range fl.replicas {
+			if !r.rep.Prober.Converged() {
+				return false
+			}
+		}
+		return true
+	})
 	return fl
 }
 
-// bootFront starts a Front over the fleet on its own listener.
+// bootFront starts a Front over the fleet on its own listener and
+// returns once its prober has converged.
 func bootFront(t *testing.T, fl *testFleet, cfg FrontConfig) (*Front, *httptest.Server) {
 	t.Helper()
 	if cfg.Members == nil {
@@ -115,6 +126,7 @@ func bootFront(t *testing.T, fl *testFleet, cfg FrontConfig) (*Front, *httptest.
 	f.Start(ctx)
 	ts := httptest.NewServer(f)
 	t.Cleanup(ts.Close)
+	waitFor(t, f.prober.Converged)
 	return f, ts
 }
 
@@ -144,6 +156,30 @@ func tryPostJSON(url string, req any) (*http.Response, []byte, error) {
 	return resp, bytes.TrimRight(buf.Bytes(), "\n"), nil
 }
 
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, buf.Bytes())
+	}
+	return buf.Bytes()
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	if err := json.Unmarshal(getBody(t, url), v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -153,6 +189,21 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// waitProbedDown waits until one of p's own probe rounds has found
+// member down. Rounds run one at a time, so no round that began before
+// the member died can re-promote it afterwards.
+func waitProbedDown(t *testing.T, p *Prober, member string) {
+	t.Helper()
+	waitFor(t, func() bool {
+		for _, m := range p.Snapshot() {
+			if m.URL == member {
+				return !m.Healthy && m.LastError != "" && m.LastError != markedUnhealthy
+			}
+		}
+		return false
+	})
 }
 
 func denseInstance(t *testing.T, n, m int, seed uint64) *instio.Instance {
@@ -504,13 +555,65 @@ func TestFrontReroutesAfterReplicaDeath(t *testing.T) {
 		t.Fatalf("victim's route-error count = %d, want >= 1", got)
 	}
 
-	// Once the prober notices, the ring re-owns the digest and requests
-	// flow without the failed first hop.
-	waitFor(t, func() bool { return len(front.prober.Healthy()) == 2 })
+	// The demotion woke the front's prober. Once one of its own rounds
+	// confirms the death, the fleet is not converged (a member is down),
+	// the ring re-owns the digest, and requests flow without the failed
+	// first hop.
+	dead := fl.urls[victim]
+	waitProbedDown(t, front.prober, dead)
+	if front.prober.Converged() {
+		t.Fatal("front reports converged with a member down")
+	}
+	errsBefore := front.peers[dead].errors.Load()
 	resp3, body3 := postJSON(t, fts.URL+"/v1/decision", &req)
 	if resp3.StatusCode != http.StatusOK || !bytes.Equal(body3, body) {
 		t.Fatalf("post-reconverge request: status %d, bytes match %v", resp3.StatusCode, bytes.Equal(body3, body))
 	}
+	if got := front.peers[dead].errors.Load(); got != errsBefore {
+		t.Fatalf("post-reconverge request tried the dead replica first (route errors %d -> %d)", errsBefore, got)
+	}
+}
+
+// The converged signal is visible where operators and scripts read it:
+// the replica and front /statsz cluster views and the
+// psdpd_cluster_converged / psdpfront_cluster_converged gauges. It is
+// up once the fleet has booted and drops when a round finds a member
+// dead.
+func TestConvergedOnStatszAndMetrics(t *testing.T) {
+	fl := bootFleet(t, 2, nil)
+	front, fts := bootFront(t, fl, FrontConfig{ProbeInterval: 50 * time.Millisecond})
+	rep := fl.replicas[0]
+
+	check := func(want bool) {
+		t.Helper()
+		var rs struct {
+			Cluster ReplicaStats `json:"cluster"`
+		}
+		var fs FrontStats
+		getJSON(t, rep.url+"/statsz", &rs)
+		getJSON(t, fts.URL+"/statsz", &fs)
+		if rs.Cluster.Converged != want || fs.Converged != want {
+			t.Fatalf("statsz converged: replica %v, front %v; want %v", rs.Cluster.Converged, fs.Converged, want)
+		}
+		gauge := "0"
+		if want {
+			gauge = "1"
+		}
+		for url, name := range map[string]string{
+			rep.url + "/metrics": "psdpd_cluster_converged",
+			fts.URL + "/metrics": "psdpfront_cluster_converged",
+		} {
+			if line := name + " " + gauge + "\n"; !bytes.Contains(getBody(t, url), []byte(line)) {
+				t.Fatalf("%s: no %q line", url, line)
+			}
+		}
+	}
+	check(true)
+
+	fl.replicas[1].ts.Close()
+	waitProbedDown(t, rep.rep.Prober, fl.urls[1])
+	waitProbedDown(t, front.prober, fl.urls[1])
+	check(false)
 }
 
 // Drain loses nothing: requests admitted before SIGTERM finish 200,

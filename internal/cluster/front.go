@@ -161,7 +161,9 @@ func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
-// FrontStats is the front's /statsz document.
+// FrontStats is the front's /statsz document. Converged reports
+// Prober.Converged: the front's last probe round found every member
+// healthy.
 type FrontStats struct {
 	Requests      int64          `json:"requests"`
 	InFlight      int64          `json:"inFlight"`
@@ -169,6 +171,7 @@ type FrontStats struct {
 	NoMembers     int64          `json:"noMembers"`
 	DigestFails   int64          `json:"digestFallbacks"`
 	Members       []MemberStatus `json:"members"`
+	Converged     bool           `json:"converged"`
 	PerPeer       map[string]any `json:"perPeer"`
 	UptimeSeconds int64          `json:"uptimeSeconds"`
 }
@@ -190,6 +193,7 @@ func (f *Front) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		NoMembers:     f.noMembers.Load(),
 		DigestFails:   f.digestFails.Load(),
 		Members:       f.prober.Snapshot(),
+		Converged:     f.prober.Converged(),
 		PerPeer:       per,
 		UptimeSeconds: int64(time.Since(f.start).Seconds()),
 	})
@@ -395,6 +399,8 @@ func (f *Front) registerMetrics() {
 		func() float64 { return float64(f.inFlight.Load()) })
 	f.reg.GaugeFunc("psdpfront_members_healthy", "Members currently healthy.",
 		func() float64 { return float64(len(f.prober.Healthy())) })
+	f.reg.GaugeFunc("psdpfront_cluster_converged", "1 while the last probe round found every member healthy, else 0.",
+		func() float64 { return boolGauge(f.prober.Converged()) })
 	for _, m := range f.cfg.Members {
 		p := f.peers[m]
 		lbl := obs.L("peer", m)

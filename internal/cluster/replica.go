@@ -57,6 +57,9 @@ func (r *Replica) Start(ctx context.Context) { r.Prober.Start(ctx) }
 type ReplicaStats struct {
 	Self    string         `json:"self"`
 	Members []MemberStatus `json:"members"`
+	// Converged reports Prober.Converged: the last probe round found
+	// every member healthy, so this replica's ring holds all of them.
+	Converged bool `json:"converged"`
 	// Result/revision peer-fetch telemetry: how often a local miss
 	// asked the digest's owner, and how that went, per peer.
 	ResultFetches       int64                `json:"resultFetches"`
@@ -76,6 +79,7 @@ func (r *Replica) Info() any {
 	return ReplicaStats{
 		Self:                r.Self,
 		Members:             r.Prober.Snapshot(),
+		Converged:           r.Prober.Converged(),
 		ResultFetches:       ra,
 		ResultFetchHits:     rh,
 		ResultFetchMisses:   rm,
@@ -107,4 +111,6 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(len(r.Prober.Healthy())) })
 	reg.GaugeFunc("psdpd_cluster_members", "Configured cluster members.",
 		func() float64 { return float64(len(r.Prober.Snapshot())) })
+	reg.GaugeFunc("psdpd_cluster_converged", "1 while the last probe round found every member healthy, else 0.",
+		func() float64 { return boolGauge(r.Prober.Converged()) })
 }

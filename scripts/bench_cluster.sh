@@ -61,14 +61,19 @@ run_scale() {
     pids="$pids $!"
     PIDS="$PIDS $pids"
 
-    j=0
-    until curl -fs "$FRONT/readyz" > /dev/null 2>&1; do
-        j=$((j + 1))
-        if [ "$j" -gt 100 ]; then
-            echo "bench-cluster: $k-replica front never became ready"
-            exit 1
-        fi
-        sleep 0.1
+    # Every replica and the front must report "converged":true on
+    # /statsz (every member probed healthy) before load starts, so the
+    # run never routes on a partial ring.
+    for u in $(echo "$members" | tr ',' ' ') "$FRONT"; do
+        j=0
+        until curl -fs "$u/statsz" 2>/dev/null | grep -q '"converged":true'; do
+            j=$((j + 1))
+            if [ "$j" -gt 200 ]; then
+                echo "bench-cluster: $u never converged with $k replica(s)"
+                exit 1
+            fi
+            sleep 0.05
+        done
     done
 
     "$BIN/psdpload" -mode cluster -url "$FRONT" \

@@ -37,25 +37,20 @@ PID3=$!; PIDS="$PIDS $PID3"
 "$BIN/psdpfront" -addr "127.0.0.1:$PF" -members "$MEMBERS" -probe-interval 200ms &
 PIDS="$PIDS $!"
 
+# Wait until every replica and the front report "converged":true on
+# /statsz (their last probe round found every member healthy), so every
+# ring holds all three members and kill-the-owner below picks the owner
+# every node agrees on.
 for u in "$U1" "$U2" "$U3" "$FRONT"; do
     i=0
-    until curl -fs "$u/healthz" > /dev/null 2>&1; do
+    until curl -fs "$u/statsz" 2>/dev/null | grep -q '"converged":true'; do
         i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "cluster smoke: $u never became healthy"
+        if [ "$i" -gt 200 ]; then
+            echo "cluster smoke: $u never converged on three healthy members"
             exit 1
         fi
-        sleep 0.1
+        sleep 0.05
     done
-done
-i=0
-until curl -fs "$FRONT/readyz" > /dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "cluster smoke: front never became ready with three healthy members"
-        exit 1
-    fi
-    sleep 0.1
 done
 
 # One solve through the front; its digest has exactly one owner.
@@ -157,6 +152,7 @@ echo "cluster smoke: post-kill burst OK"
 go run ./scripts/metricscheck "$FRONT/metrics" \
     psdpfront_requests_total \
     psdpfront_routed_total \
-    psdpfront_members_healthy
+    psdpfront_members_healthy \
+    psdpfront_cluster_converged
 
 echo "cluster smoke: OK"
