@@ -128,8 +128,7 @@ func NewFront(cfg FrontConfig) *Front {
 		f.peers[m] = &peerState{}
 	}
 
-	for _, kind := range []string{"decision", "maximize", "solve", "mixed"} {
-		kind := kind
+	for _, kind := range serve.Kinds() {
 		f.mux.HandleFunc("POST /v1/"+kind, func(w http.ResponseWriter, r *http.Request) {
 			f.handleSolve(w, r, kind)
 		})

@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/instio"
 	"repro/internal/matrix"
 	"repro/internal/sparse"
 	"repro/internal/store"
@@ -99,45 +98,34 @@ func (z *hasher) sum() digest {
 // covering matrix joins the canonical form after the packing set).
 const digestVersion = "psdpd-v3"
 
-// requestDigest canonicalizes one solve request. kind is the endpoint
-// ("decision", "maximize", "solve", "mixed"); exactly one of set or
-// prog is non-nil, and cover is non-nil exactly for the mixed kind.
-// engine is the EFFECTIVE engine — the request's engine with the
-// server default already substituted for "" — because the wire field
-// alone underdetermines what the solver runs.
-func requestDigest(kind string, req *Request, set core.ConstraintSet, prog *core.Program, cover *matrix.Dense, engine core.EngineKind) (digest, error) {
-	opts, err := req.coreOptions()
-	if err != nil {
-		return digest{}, err
-	}
+// requestDigest canonicalizes one built request. The engine hashed is
+// b.engine: the request's engine with the default substituted for ""
+// (the wire field alone underdetermines what the solver runs), resolved
+// when the kind resolves "auto".
+func requestDigest(b *built, req *Request) (digest, error) {
 	z := newHasher()
 	z.str(digestVersion)
-	z.str(kind)
+	z.str(b.k.name)
 	z.f64(req.Eps)
 	z.u64(req.Seed)
-	z.i64(int(canonicalOracle(opts.Oracle, set)))
-	z.i64(int(canonicalEngine(kind, engine, set, req.Eps)))
+	z.i64(int(canonicalOracle(b.opts.Oracle, b.set)))
+	z.i64(int(b.engine))
 	z.i64(req.MaxIter)
 	z.bool(req.Bucketed)
 	z.bool(req.TheoryExact)
 	z.f64(req.SketchEps)
 	z.f64(req.scaleOrOne())
-	switch {
-	case set != nil:
-		if err := hashSet(z, set); err != nil {
-			return digest{}, err
-		}
-	case prog != nil:
-		hashProgram(z, prog)
-	default:
-		return digest{}, fmt.Errorf("serve: nothing to digest")
+	if b.prog != nil {
+		hashProgram(z, b.prog)
+	} else if err := hashSet(z, b.set); err != nil {
+		return digest{}, err
 	}
-	if cover != nil {
+	if b.prob != nil {
 		// BuildMixed canonicalized the covering triplets (sorted, summed
 		// in fixed order), so hashing the assembled matrix keeps the
 		// digest independent of the document's listing order.
 		z.str("cover")
-		hashDense(z, cover)
+		hashDense(z, b.prob.Cover)
 	}
 	return z.sum(), nil
 }
@@ -178,53 +166,14 @@ func parseDigest(s string) (digest, error) {
 // address the replicas do. Exported for internal/cluster: routing by
 // the true content address is what keeps cache entries, revision
 // lineages, and warm worker workspaces shard-local across the fleet.
+// It runs the same validation, build, and digest code the serving path
+// runs, so a request either gets the served digest or an error.
 func ContentDigest(kind string, req *Request, defaultEngine core.EngineKind) (store.Key, error) {
-	if math.IsNaN(req.Eps) || req.Eps <= 0 || req.Eps >= 1 {
-		return store.Key{}, fmt.Errorf("serve: eps = %v out of (0, 1)", req.Eps)
-	}
-	opts, err := req.coreOptions()
+	b, err := buildRequest(kind, req, defaultEngine)
 	if err != nil {
 		return store.Key{}, err
 	}
-	if req.Engine == "" {
-		opts.Engine = defaultEngine
-	}
-	switch kind {
-	case "decision", "maximize":
-		if req.Instance == nil {
-			return store.Key{}, fmt.Errorf("serve: %s request needs an instance", kind)
-		}
-		set, err := instio.Build(req.Instance)
-		if err != nil {
-			return store.Key{}, err
-		}
-		if scale := req.scaleOrOne(); scale != 1 {
-			if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
-				return store.Key{}, fmt.Errorf("serve: scale = %v must be positive and finite", req.Scale)
-			}
-			set = set.WithScale(scale)
-		}
-		return requestDigest(kind, req, set, nil, nil, opts.Engine)
-	case "mixed":
-		if req.Instance == nil {
-			return store.Key{}, fmt.Errorf("serve: mixed request needs an instance")
-		}
-		prob, err := instio.BuildMixed(req.Instance)
-		if err != nil {
-			return store.Key{}, err
-		}
-		return requestDigest(kind, req, prob.Pack, nil, prob.Cover, opts.Engine)
-	case "solve":
-		if req.Program == nil {
-			return store.Key{}, fmt.Errorf("serve: solve request needs a program")
-		}
-		prog, err := req.Program.build()
-		if err != nil {
-			return store.Key{}, err
-		}
-		return requestDigest(kind, req, nil, prog, nil, opts.Engine)
-	}
-	return store.Key{}, fmt.Errorf("serve: unknown request kind %q", kind)
+	return b.d, nil
 }
 
 // canonicalOracle resolves OracleAuto to the concrete oracle the
@@ -241,25 +190,6 @@ func canonicalOracle(kind core.OracleKind, set core.ConstraintSet) core.OracleKi
 		return core.OracleFactoredJL
 	}
 	return core.OracleDenseExact
-}
-
-// canonicalEngine maps the effective engine to the value the digest
-// hashes. For decision and mixed requests EngineAuto is resolved
-// exactly the way the solver entrypoint resolves it (same set, same
-// eps — mixed.Solve calls core.ResolveEngine on its packing set), so
-// "auto" and the explicit name of the auto choice provably produce
-// identical bytes and share one content address. For maximize/solve
-// requests the raw kind is hashed unresolved: those pipelines
-// re-resolve Auto per inner decision call at TIGHTER accuracies (eps/4
-// and below), so a top-level resolution would not match what the
-// solver actually runs — merging the addresses there could serve one
-// engine's bytes for the other. Auto is still deterministic in the
-// digested inputs, so the address stays sound, just unmerged.
-func canonicalEngine(kind string, engine core.EngineKind, set core.ConstraintSet, eps float64) core.EngineKind {
-	if kind == "decision" || kind == "mixed" {
-		return core.ResolveEngine(engine, set, eps)
-	}
-	return engine
 }
 
 // hashSet canonicalizes a constraint set. Dense sets hash their entries

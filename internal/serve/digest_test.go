@@ -10,14 +10,7 @@ import (
 
 func digestOf(t *testing.T, kind string, req *Request) digest {
 	t.Helper()
-	set, err := instio.Build(req.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc := req.scaleOrOne(); sc != 1 {
-		set = set.WithScale(sc)
-	}
-	d, err := requestDigest(kind, req, set, nil, nil, core.EngineMMW)
+	d, err := ContentDigest(kind, req, core.EngineMMW)
 	if err != nil {
 		t.Fatal(err)
 	}

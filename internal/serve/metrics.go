@@ -15,11 +15,13 @@ import (
 //
 //   - Func-backed series sample the counters the server already keeps
 //     (s.stats atomics, cache, pool, revision store) at scrape time —
-//     no double counting and zero hot-path cost.
-//   - Native series (the admitted counters and the latency histograms)
-//     are preallocated here for every valid label combination, so the
-//     request path touches only atomics: a map lookup with a struct
-//     key plus Counter.Inc/Histogram.Observe allocates nothing.
+//     no double counting and zero hot-path cost. The admitted counters
+//     are among them: s.stats.admits is preallocated per label
+//     combination, so admission is a struct-keyed map read plus an
+//     atomic add.
+//   - Native series (the latency histograms) are preallocated here for
+//     every valid label, so the request path touches only atomics: a
+//     map lookup plus Histogram.Observe allocates nothing.
 //
 // Solver phase telemetry stays out of response bodies on purpose: the
 // wall times are nondeterministic, and response bytes are content-
@@ -35,8 +37,7 @@ type admitKey struct{ kind, rep, engine string }
 // serveMetrics owns the registry and the preallocated native series.
 type serveMetrics struct {
 	reg       *obs.Registry
-	admitted  map[admitKey]*obs.Counter
-	e2e       map[string]*obs.Histogram // by endpoint label
+	e2e       map[string]*obs.Histogram // by request path; "" is "other"
 	solve     map[string]*obs.Histogram // by solve kind
 	queueWait *obs.Histogram
 }
@@ -57,74 +58,38 @@ func (s *Server) recordPhases(st *core.SolveStats) {
 }
 
 // admitCombos enumerates every (kind, rep, engine) label combination a
-// request can be admitted under. Decision and mixed requests digest a
-// RESOLVED engine (canonicalEngine resolves "auto" per instance), so
-// they never carry the auto label; maximize and solve keep it (their
-// inner decisions re-resolve per call).
+// request can be admitted under, from the kind table. Kinds whose
+// digest resolves "auto" never carry the auto label.
 func admitCombos() []admitKey {
-	resolved := []string{core.EngineNameMMW, core.EngineNameALO}
-	unresolved := []string{core.EngineNameMMW, core.EngineNameALO, "auto"}
 	var out []admitKey
-	add := func(kind string, reps, engines []string) {
-		for _, r := range reps {
+	for _, k := range kinds {
+		engines := []string{core.EngineNameMMW, core.EngineNameALO, "auto"}
+		if k.resolveAuto {
+			engines = engines[:2]
+		}
+		for _, rep := range k.payload.reps {
 			for _, e := range engines {
-				out = append(out, admitKey{kind: kind, rep: r, engine: e})
+				out = append(out, admitKey{kind: k.name, rep: rep, engine: e})
 			}
 		}
 	}
-	plain := []string{repDense, repFactored, repSparse}
-	add("decision", plain, resolved)
-	add("maximize", plain, unresolved)
-	add("solve", []string{repProgram}, unresolved)
-	add("mixed", []string{repMixedDense, repMixedFactored, repMixedSparse}, resolved)
 	return out
 }
 
-// endpointLabels is the fixed e2e-histogram label set; endpointLabel
-// maps request paths onto it ("other" bounds the cardinality).
-var endpointLabels = []string{
-	"decision", "maximize", "solve", "mixed", "delta", "batch",
-	"healthz", "readyz", "statsz", "metrics", "debugz", "other",
+// otherRoutes labels the non-solve routes for the e2e histogram. Each
+// solve route is labelled by its kind, and every unknown path by
+// "other", which bounds the cardinality.
+var otherRoutes = []struct{ path, label string }{
+	{"/v1/delta", "delta"}, {"/v1/batch", "batch"}, {"/healthz", "healthz"}, {"/readyz", "readyz"},
+	{"/statsz", "statsz"}, {"/metrics", "metrics"}, {"/debugz/slow", "debugz"},
 }
-
-func endpointLabel(path string) string {
-	switch path {
-	case "/v1/decision":
-		return "decision"
-	case "/v1/maximize":
-		return "maximize"
-	case "/v1/solve":
-		return "solve"
-	case "/v1/mixed":
-		return "mixed"
-	case "/v1/delta":
-		return "delta"
-	case "/v1/batch":
-		return "batch"
-	case "/healthz":
-		return "healthz"
-	case "/readyz":
-		return "readyz"
-	case "/statsz":
-		return "statsz"
-	case "/metrics":
-		return "metrics"
-	case "/debugz/slow":
-		return "debugz"
-	}
-	return "other"
-}
-
-// solveKinds is the solve-latency histogram label set.
-var solveKinds = []string{"decision", "maximize", "solve", "mixed"}
 
 func newServeMetrics(s *Server) *serveMetrics {
 	r := obs.NewRegistry()
 	m := &serveMetrics{
-		reg:      r,
-		admitted: make(map[admitKey]*obs.Counter),
-		e2e:      make(map[string]*obs.Histogram),
-		solve:    make(map[string]*obs.Histogram),
+		reg:   r,
+		e2e:   make(map[string]*obs.Histogram),
+		solve: make(map[string]*obs.Histogram),
 	}
 
 	// Request/outcome counters: scrape-time samples of the live atomics.
@@ -199,25 +164,32 @@ func newServeMetrics(s *Server) *serveMetrics {
 	r.CounterFunc("psdpd_solver_iterations_total", "Solver iterations across all solves.",
 		func() float64 { return float64(s.phases.iterations.Load()) })
 
-	// Admitted requests: native counters, one per valid combination,
-	// preallocated so admission is a struct-keyed map read + atomic add.
+	// Admitted requests, one series per valid combination.
 	for _, k := range admitCombos() {
-		m.admitted[k] = r.Counter("psdpd_admitted_total",
+		r.CounterFunc("psdpd_admitted_total",
 			"Admitted solve requests by endpoint kind, representation, and effective engine.",
+			func() float64 { return float64(s.stats.admits[k].Load()) },
 			obs.L("kind", k.kind), obs.L("rep", k.rep), obs.L("engine", k.engine))
 	}
 
 	// Latency histograms: end-to-end per endpoint, solve wall time per
 	// kind, queue wait pool-wide.
 	latency := obs.ExpBuckets(0.0005, 2, 18) // 0.5ms … ~65s
-	for _, ep := range endpointLabels {
-		m.e2e[ep] = r.Histogram("psdpd_request_seconds",
-			"End-to-end request latency by endpoint.", latency, obs.L("endpoint", ep))
+	e2e := func(path, label string) {
+		m.e2e[path] = r.Histogram("psdpd_request_seconds",
+			"End-to-end request latency by endpoint.", latency, obs.L("endpoint", label))
 	}
-	for _, k := range solveKinds {
-		m.solve[k] = r.Histogram("psdpd_solve_seconds",
+	for _, k := range kinds {
+		e2e("/v1/"+k.name, k.name)
+	}
+	for _, rt := range otherRoutes {
+		e2e(rt.path, rt.label)
+	}
+	e2e("", "other")
+	for _, k := range kinds {
+		m.solve[k.name] = r.Histogram("psdpd_solve_seconds",
 			"Solve wall time by kind (executed solves only — hits and shares excluded).",
-			latency, obs.L("kind", k))
+			latency, obs.L("kind", k.name))
 	}
 	m.queueWait = r.Histogram("psdpd_queue_wait_seconds",
 		"Admission-to-pickup queue wait.", obs.ExpBuckets(0.0001, 2, 18)) // 0.1ms … ~13s
@@ -225,27 +197,17 @@ func newServeMetrics(s *Server) *serveMetrics {
 	return m
 }
 
-// countAdmitted bumps the admitted counter for the combination, if the
-// metrics layer is enabled. Unknown combinations (impossible by
-// construction) are dropped rather than registered lazily — lazy
-// registration would allocate on the request path.
-func (m *serveMetrics) countAdmitted(kind, rep, engine string) {
+// observeRequest records one end-to-end request latency under the
+// request path's endpoint label.
+func (m *serveMetrics) observeRequest(path string, sec float64) {
 	if m == nil {
 		return
 	}
-	if c := m.admitted[admitKey{kind: kind, rep: rep, engine: engine}]; c != nil {
-		c.Inc()
+	h := m.e2e[path]
+	if h == nil {
+		h = m.e2e[""]
 	}
-}
-
-// observeRequest records one end-to-end request latency.
-func (m *serveMetrics) observeRequest(endpoint string, sec float64) {
-	if m == nil {
-		return
-	}
-	if h := m.e2e[endpoint]; h != nil {
-		h.Observe(sec)
-	}
+	h.Observe(sec)
 }
 
 // observeSolve records one executed solve's wall time.

@@ -66,7 +66,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(sw, r)
 
 	elapsed := time.Since(start)
-	s.metrics.observeRequest(endpointLabel(r.URL.Path), elapsed.Seconds())
+	s.metrics.observeRequest(r.URL.Path, elapsed.Seconds())
 	if s.logger != nil {
 		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("requestId", id),

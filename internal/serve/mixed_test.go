@@ -321,6 +321,10 @@ func TestMixedValidationErrors(t *testing.T) {
 		{"plain instance", Request{Instance: denseInstance(t, 4, 6, 201), Eps: 0.2}},
 		{"negative cover", Request{Instance: badCover, Eps: 0.2}},
 		{"scale", Request{Instance: valid, Eps: 0.2, Scale: 0.5}},
+		// mixed.Solve reads none of these, so they must not reach the digest.
+		{"sketchEps", Request{Instance: valid, Eps: 0.2, SketchEps: 0.4}},
+		{"bucketed", Request{Instance: valid, Eps: 0.2, Bucketed: true}},
+		{"theoryExact", Request{Instance: valid, Eps: 0.2, TheoryExact: true}},
 		{"bad engine", Request{Instance: valid, Eps: 0.2, Engine: "warp"}},
 		{"bad eps", Request{Instance: valid, Eps: 1.5}},
 	}

@@ -48,59 +48,76 @@ func getBody(t *testing.T, url string) (*http.Response, string) {
 // the core series after real traffic, and the iteration count served in
 // X-Psdpd-Iterations must be identical between the cold solve and the
 // cache hit (it is part of the deterministic content the digest
-// addresses).
+// addresses). Every kind runs through the same solve closure, so each
+// must also leave psdpd_solver_iterations_total equal to the count it
+// advertised.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	cases := []struct {
+		kind, rep string
+		req       Request
+	}{
+		{"decision", "dense", Request{Instance: denseInstance(t, 6, 8, 301), Eps: 0.25, Seed: 4}},
+		{"maximize", "dense", Request{Instance: denseInstance(t, 5, 6, 302), Eps: 0.3, Seed: 4}},
+		{"solve", "program", Request{Program: &ProgramDoc{
+			C: [][]float64{{2, 0}, {0, 1}},
+			A: [][][]float64{{{1, 0}, {0, 0.5}}},
+			B: []float64{1},
+		}, Eps: 0.2, Seed: 2}},
+		{"mixed", "mixed-dense", Request{Instance: mixedFromPack(t, denseInstance(t, 4, 6, 304)), Eps: 0.2, Seed: 5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 2})
+			resp1, _ := postJSON(t, ts.URL+"/v1/"+tc.kind, &tc.req)
+			if resp1.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", tc.kind, resp1.StatusCode)
+			}
+			iters1 := resp1.Header.Get("X-Psdpd-Iterations")
+			if iters1 == "" || iters1 == "0" {
+				t.Fatalf("miss served X-Psdpd-Iterations %q, want positive count", iters1)
+			}
+			resp2, _ := postJSON(t, ts.URL+"/v1/"+tc.kind, &tc.req)
+			if got := resp2.Header.Get("X-Psdpd-Cache"); got != "hit" {
+				t.Fatalf("repeat request: cache %q, want hit", got)
+			}
+			if got := resp2.Header.Get("X-Psdpd-Iterations"); got != iters1 {
+				t.Fatalf("hit served X-Psdpd-Iterations %q, miss served %q — must match", got, iters1)
+			}
 
-	req := Request{Instance: denseInstance(t, 6, 8, 301), Eps: 0.25, Seed: 4}
-	resp1, _ := postJSON(t, ts.URL+"/v1/decision", &req)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("decision: status %d", resp1.StatusCode)
-	}
-	iters1 := resp1.Header.Get("X-Psdpd-Iterations")
-	if iters1 == "" || iters1 == "0" {
-		t.Fatalf("miss served X-Psdpd-Iterations %q, want positive count", iters1)
-	}
-	resp2, _ := postJSON(t, ts.URL+"/v1/decision", &req)
-	if got := resp2.Header.Get("X-Psdpd-Cache"); got != "hit" {
-		t.Fatalf("repeat request: cache %q, want hit", got)
-	}
-	if got := resp2.Header.Get("X-Psdpd-Iterations"); got != iters1 {
-		t.Fatalf("hit served X-Psdpd-Iterations %q, miss served %q — must match", got, iters1)
-	}
-
-	mresp, text := getBody(t, ts.URL+"/metrics")
-	if mresp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: status %d", mresp.StatusCode)
-	}
-	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("/metrics content type %q", ct)
-	}
-	if err := obs.CheckExposition(text); err != nil {
-		t.Fatalf("malformed exposition: %v", err)
-	}
-	for _, want := range []string{
-		"psdpd_requests_total 2",
-		"psdpd_solves_total 1",
-		"psdpd_cache_hits_total 1",
-		`psdpd_admitted_total{kind="decision",rep="dense",engine="mmw"} 2`,
-		`psdpd_solver_phase_seconds_total{phase="oracle"}`,
-		"psdpd_solver_iterations_total",
-		`psdpd_request_seconds_bucket{endpoint="decision",le="+Inf"} 2`,
-		`psdpd_solve_seconds_count{kind="decision"} 1`,
-		"psdpd_queue_wait_seconds_count",
-		`psdpd_queue_depth{shard="0"} 0`,
-		"psdpd_uptime_seconds",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	// Phase telemetry reached the registry: total iterations equal the
-	// count the response advertised.
-	if !strings.Contains(text, "psdpd_solver_iterations_total "+iters1) {
-		t.Errorf("psdpd_solver_iterations_total does not match header %s:\n%s", iters1,
-			grepLines(text, "psdpd_solver_iterations_total"))
+			mresp, text := getBody(t, ts.URL+"/metrics")
+			if mresp.StatusCode != http.StatusOK {
+				t.Fatalf("/metrics: status %d", mresp.StatusCode)
+			}
+			if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+				t.Fatalf("/metrics content type %q", ct)
+			}
+			if err := obs.CheckExposition(text); err != nil {
+				t.Fatalf("malformed exposition: %v", err)
+			}
+			for _, want := range []string{
+				"psdpd_requests_total 2",
+				"psdpd_solves_total 1",
+				"psdpd_cache_hits_total 1",
+				`psdpd_admitted_total{kind="` + tc.kind + `",rep="` + tc.rep + `",engine="mmw"} 2`,
+				`psdpd_solver_phase_seconds_total{phase="oracle"}`,
+				"psdpd_solver_iterations_total",
+				`psdpd_request_seconds_bucket{endpoint="` + tc.kind + `",le="+Inf"} 2`,
+				`psdpd_solve_seconds_count{kind="` + tc.kind + `"} 1`,
+				"psdpd_queue_wait_seconds_count",
+				`psdpd_queue_depth{shard="0"} 0`,
+				"psdpd_uptime_seconds",
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("exposition missing %q", want)
+				}
+			}
+			// Phase telemetry reached the registry: total iterations equal
+			// the count the response advertised.
+			if !strings.Contains(text, "psdpd_solver_iterations_total "+iters1+"\n") {
+				t.Errorf("psdpd_solver_iterations_total does not match header %s:\n%s", iters1,
+					grepLines(text, "psdpd_solver_iterations_total"))
+			}
+		})
 	}
 }
 

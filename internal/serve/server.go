@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/instio"
-	"repro/internal/mixed"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/store"
@@ -160,23 +159,6 @@ type counters struct {
 	cancelled   atomic.Int64
 	errors      atomic.Int64
 	inFlight    atomic.Int64
-	// Per-representation counts of ADMITTED requests — bumped at the
-	// single point where a request has passed every validation gate and
-	// enters the solve pipeline, so operators can see which constraint
-	// encodings a deployment actually serves (and correlate pool-miss
-	// growth with representation mix). Malformed or rejected payloads
-	// must never inflate these: a 400 is not workload.
-	reqDense    atomic.Int64
-	reqFactored atomic.Int64
-	reqSparse   atomic.Int64
-	reqProgram  atomic.Int64
-	// Mixed requests count under their packing representation in a
-	// separate family (a mixed-sparse solve exercises different code
-	// than a plain sparse decision), so the three mixed counters sum to
-	// exactly the admitted /v1/mixed requests.
-	reqMixedDense    atomic.Int64
-	reqMixedFactored atomic.Int64
-	reqMixedSparse   atomic.Int64
 	// Incremental-solving counters: delta requests that materialized
 	// and entered the pipeline, 404s for unknown/evicted bases, and the
 	// warm-vs-cold split of how delta solves actually started.
@@ -184,75 +166,18 @@ type counters struct {
 	deltaBaseMisses   atomic.Int64
 	warmStarts        atomic.Int64
 	warmColdFallbacks atomic.Int64
-	// Per-engine counts of ADMITTED requests, keyed by the EFFECTIVE
-	// engine — the server default substituted for "", and Auto resolved
-	// to its concrete pick for decision requests (maximize/solve keep
-	// "auto": their inner decisions re-resolve per call, so no single
-	// concrete engine is honest). Same discipline as the representation
-	// counters: bumped once per admitted request, never by a 400.
-	reqEngineMMW  atomic.Int64
-	reqEngineALO  atomic.Int64
-	reqEngineAuto atomic.Int64
-}
-
-// countRepresentation bumps the per-representation admission counter.
-// Call it exactly once per admitted request, never before validation
-// has fully passed.
-func (s *Server) countRepresentation(rep string) {
-	switch rep {
-	case repDense:
-		s.stats.reqDense.Add(1)
-	case repFactored:
-		s.stats.reqFactored.Add(1)
-	case repSparse:
-		s.stats.reqSparse.Add(1)
-	case repProgram:
-		s.stats.reqProgram.Add(1)
-	case repMixedDense:
-		s.stats.reqMixedDense.Add(1)
-	case repMixedFactored:
-		s.stats.reqMixedFactored.Add(1)
-	case repMixedSparse:
-		s.stats.reqMixedSparse.Add(1)
-	}
-}
-
-// countEngine bumps the per-engine admission counter for the effective
-// engine label ("mmw", "alo", or "auto"). Same contract as
-// countRepresentation: exactly once per admitted request.
-func (s *Server) countEngine(engine string) {
-	switch engine {
-	case core.EngineNameMMW:
-		s.stats.reqEngineMMW.Add(1)
-	case core.EngineNameALO:
-		s.stats.reqEngineALO.Add(1)
-	case "auto":
-		s.stats.reqEngineAuto.Add(1)
-	}
-}
-
-const (
-	repDense         = "dense"
-	repFactored      = "factored"
-	repSparse        = "sparse"
-	repProgram       = "program"
-	repMixedDense    = "mixed-dense"
-	repMixedFactored = "mixed-factored"
-	repMixedSparse   = "mixed-sparse"
-)
-
-// representationOf labels a built constraint set for the admission
-// counters.
-func representationOf(set core.ConstraintSet) string {
-	switch set.(type) {
-	case *core.DenseSet:
-		return repDense
-	case *core.FactoredSet:
-		return repFactored
-	case *core.SparseSet:
-		return repSparse
-	}
-	return ""
+	// admits counts ADMITTED requests per (kind, representation, engine)
+	// label combination, preallocated from the kind table. It moves at
+	// the single point where a request has passed every validation gate
+	// and enters the solve pipeline, so operators can see which
+	// constraint encodings and engines a deployment actually serves.
+	// Malformed or rejected payloads never inflate it: a 400 is not
+	// workload. The engine label is the EFFECTIVE engine — the server
+	// default substituted for "", and "auto" resolved where the kind's
+	// digest resolves it — and mixed requests count under their own
+	// "mixed-" representation family (a mixed-sparse solve exercises
+	// different code than a plain sparse decision).
+	admits map[admitKey]*atomic.Int64
 }
 
 // Server is the psdpd HTTP solve service: wire handlers in front of a
@@ -343,16 +268,19 @@ func New(cfg Config) *Server {
 	if s.place == nil {
 		s.place = placement.Local{}
 	}
+	s.stats.admits = make(map[admitKey]*atomic.Int64)
+	for _, k := range admitCombos() {
+		s.stats.admits[k] = new(atomic.Int64)
+	}
 	if !cfg.DisableMetrics {
 		s.metrics = newServeMetrics(s)
 		if cfg.RegisterMetrics != nil {
 			cfg.RegisterMetrics(s.metrics.reg)
 		}
 	}
-	s.mux.HandleFunc("POST /v1/decision", s.handleKind("decision"))
-	s.mux.HandleFunc("POST /v1/maximize", s.handleKind("maximize"))
-	s.mux.HandleFunc("POST /v1/solve", s.handleKind("solve"))
-	s.mux.HandleFunc("POST /v1/mixed", s.handleKind("mixed"))
+	for _, k := range kinds {
+		s.mux.HandleFunc("POST /v1/"+k.name, s.handleKind(k.name))
+	}
 	s.mux.HandleFunc("POST /v1/delta", s.handleDelta)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/peer/result/{digest}", s.handlePeerResult)
@@ -388,6 +316,11 @@ func (s *Server) Close() { s.pool.Close() }
 // Stats snapshots the service counters.
 func (s *Server) Stats() StatsResponse {
 	hits, _ := s.results.Counters()
+	byRep, byEngine := map[string]int64{}, map[string]int64{}
+	for k, c := range s.stats.admits {
+		byRep[k.rep] += c.Load()
+		byEngine[k.engine] += c.Load()
+	}
 	var cluster any
 	if s.cfg.ClusterInfo != nil {
 		cluster = s.cfg.ClusterInfo()
@@ -408,16 +341,16 @@ func (s *Server) Stats() StatsResponse {
 		PoolSkipped:           s.pool.Skipped(),
 		PoolMisses:            s.pool.Misses(),
 		ShardPoolMisses:       s.pool.ShardMisses(),
-		RequestsDense:         s.stats.reqDense.Load(),
-		RequestsFactored:      s.stats.reqFactored.Load(),
-		RequestsSparse:        s.stats.reqSparse.Load(),
-		RequestsProgram:       s.stats.reqProgram.Load(),
-		RequestsMixedDense:    s.stats.reqMixedDense.Load(),
-		RequestsMixedFactored: s.stats.reqMixedFactored.Load(),
-		RequestsMixedSparse:   s.stats.reqMixedSparse.Load(),
-		RequestsMMW:           s.stats.reqEngineMMW.Load(),
-		RequestsALO:           s.stats.reqEngineALO.Load(),
-		RequestsAuto:          s.stats.reqEngineAuto.Load(),
+		RequestsDense:         byRep["dense"],
+		RequestsFactored:      byRep["factored"],
+		RequestsSparse:        byRep["sparse"],
+		RequestsProgram:       byRep["program"],
+		RequestsMixedDense:    byRep["mixed-dense"],
+		RequestsMixedFactored: byRep["mixed-factored"],
+		RequestsMixedSparse:   byRep["mixed-sparse"],
+		RequestsMMW:           byEngine[core.EngineNameMMW],
+		RequestsALO:           byEngine[core.EngineNameALO],
+		RequestsAuto:          byEngine["auto"],
 		DeltaRequests:         s.stats.deltaRequests.Load(),
 		DeltaBaseMisses:       s.stats.deltaBaseMisses.Load(),
 		WarmStarts:            s.stats.warmStarts.Load(),
@@ -472,24 +405,24 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleKind(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.requests.Add(1)
-		if s.redirectIfDraining(w, r) {
-			return
-		}
 		var req Request
-		if err := s.decodeBody(w, r, &req); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
+		if !s.readSolveBody(w, r, &req) {
 			return
 		}
-		res := s.solveOne(r.Context(), kind, &req, nil)
-		if res.haveDigest {
-			w.Header().Set("X-Psdpd-Digest", res.digest.String())
-		}
-		if res.status == http.StatusOK {
-			w.Header().Set("X-Psdpd-Iterations", strconv.Itoa(res.iters))
-		}
-		s.writeResult(w, res.status, res.cache, res.body)
+		s.writeSolve(w, s.solveOne(r.Context(), kind, &req, nil))
 	}
+}
+
+// writeSolve answers one solve with its content address and, behind a
+// 200, its iteration count.
+func (s *Server) writeSolve(w http.ResponseWriter, res solveResult) {
+	if res.haveDigest {
+		w.Header().Set("X-Psdpd-Digest", res.digest.String())
+	}
+	if res.status == http.StatusOK {
+		w.Header().Set("X-Psdpd-Iterations", strconv.Itoa(res.iters))
+	}
+	s.writeResult(w, res.status, res.cache, res.body)
 }
 
 // handleDelta is the incremental-solving endpoint: it resolves the
@@ -501,13 +434,8 @@ func (s *Server) handleKind(kind string) http.HandlerFunc {
 // genuine revisions solve under a warm lineage address so warm bytes
 // never pollute the cold content address space.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	s.stats.requests.Add(1)
-	if s.redirectIfDraining(w, r) {
-		return
-	}
 	var req Request
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.readSolveBody(w, r, &req) {
 		return
 	}
 	if req.Instance == nil || req.Instance.Delta == nil {
@@ -543,32 +471,16 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// (warm-started from the base's final iterate), everything else is a
 	// decision solve.
 	kind := "decision"
-	warm := &warmLink{baseKey: baseKey, baseHex: dd.Base}
 	if mat.Mixed != nil {
 		kind = "mixed"
-		warm.mixedX = rev.MixedX
-	} else {
-		warm.state = rev.State
-	}
-	res := s.solveOne(r.Context(), kind, &dreq, warm)
-	if res.haveDigest {
-		w.Header().Set("X-Psdpd-Digest", res.digest.String())
-	}
-	if res.status == http.StatusOK {
-		w.Header().Set("X-Psdpd-Iterations", strconv.Itoa(res.iters))
 	}
 	w.Header().Set("X-Psdpd-Base", dd.Base)
-	s.writeResult(w, res.status, res.cache, res.body)
+	s.writeSolve(w, s.solveOne(r.Context(), kind, &dreq, &warmLink{baseKey: baseKey, baseHex: dd.Base, rev: rev}))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.stats.requests.Add(1)
-	if s.redirectIfDraining(w, r) {
-		return
-	}
 	var batch BatchRequest
-	if err := s.decodeBody(w, r, &batch); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.readSolveBody(w, r, &batch) {
 		return
 	}
 	if len(batch.Requests) == 0 {
@@ -610,14 +522,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // warmLink carries the incremental-solving context of a delta request
 // into the solve pipeline: the revision key the client named, its hex
-// form for lineage records, and the stored warm-start payload — the
-// final decision state for decision bases, the final iterate for mixed
-// bases (exactly one is non-nil).
+// form for lineage records, and the stored base revision, whose
+// warm-start payload the kind's run reads (the final decision state for
+// decision bases, the final iterate for mixed bases).
 type warmLink struct {
 	baseKey digest
 	baseHex string
-	state   *core.DecisionState
-	mixedX  []float64
+	rev     *store.Revision
 }
 
 // solveResult is solveOne's outcome: HTTP status, cache disposition
@@ -681,9 +592,7 @@ func (s *Server) solveRun(clientCtx context.Context, kind string, req *Request, 
 	// admission, per-representation, and delta counters move —
 	// rejections above never touch them.
 	s.stats.admitted.Add(1)
-	s.countRepresentation(p.rep)
-	s.countEngine(p.engine)
-	s.metrics.countAdmitted(kind, p.rep, p.engine)
+	s.stats.admits[p.admit].Add(1)
 	if p.isDelta {
 		s.stats.deltaRequests.Add(1)
 	}
@@ -779,34 +688,25 @@ func (s *Server) execute(req *Request, d digest, fn poolFn) (int, string, []byte
 	// The iteration count rides with the cached body: it is a property
 	// of the deterministic solve, so hits and shares must serve the same
 	// X-Psdpd-Iterations a fresh solve would.
-	iters := 0
-	if ic, ok := v.(interface{ iterCount() int }); ok {
-		iters = ic.iterCount()
-	}
+	iters := v.(response).iterCount()
 	s.results.Put(d, body, iters)
 	return http.StatusOK, "miss", body, iters
 }
 
 // prepared is the outcome of request validation: the solve closure,
 // the content address the result lives under (on the delta path this
-// is the warm lineage address; plain holds the content-only address),
-// and the representation label for the admission counters.
+// is the warm lineage address), and the admission counter's labels.
 type prepared struct {
 	fn    poolFn
 	d     digest
-	plain digest
-	rep   string
-	// engine is the effective engine label for the admission counters:
-	// the canonical (digested) engine, so /statsz agrees with the cache
-	// identity about what a request ran.
-	engine string
+	admit admitKey
 	// wantRevision marks solves that should leave a warm-startable
-	// revision behind (sparse decision solves with the store enabled —
-	// only sparse instances can be delta bases, so recording dense or
-	// factored solves would just pay snapshot copies to evict usable
-	// bases): a cache hit whose revision was evicted re-solves instead
-	// of short-circuiting, so the store is repopulated and /v1/delta's
-	// "re-POST the base" instruction actually works.
+	// revision behind (sparse-packed solves of a delta-base kind with the
+	// store enabled — recording other solves would just pay snapshot
+	// copies to evict usable bases): a cache hit whose revision was
+	// evicted re-solves instead of short-circuiting, so the store is
+	// repopulated and /v1/delta's "re-POST the base" instruction
+	// actually works.
 	wantRevision bool
 	// isDelta marks requests that arrived through /v1/delta (for the
 	// admission counter), independent of whether they still carry a
@@ -814,289 +714,69 @@ type prepared struct {
 	isDelta bool
 }
 
-// prepare validates the request, builds the instance, and returns the
-// solve closure plus the content digest. Everything that can fail from
-// bad client input fails here, before any queue slot is taken and
-// before any admission counter moves.
+// prepare validates, builds, and digests the request (buildRequest),
+// demotes identity deltas, and returns the solve closure.
 func (s *Server) prepare(kind string, req *Request, warm *warmLink) (prepared, error) {
-	if math.IsNaN(req.Eps) || req.Eps <= 0 || req.Eps >= 1 {
-		return prepared{}, fmt.Errorf("serve: eps = %v out of (0, 1)", req.Eps)
-	}
-	opts, err := req.coreOptions()
+	b, err := buildRequest(kind, req, s.cfg.DefaultEngine)
 	if err != nil {
 		return prepared{}, err
 	}
-	if req.Engine == "" {
-		opts.Engine = s.cfg.DefaultEngine
+	if warm != nil && !b.k.deltaBase {
+		return prepared{}, fmt.Errorf("serve: warm start does not apply to %s solves", kind)
 	}
-	if err := opts.Validate(); err != nil {
-		return prepared{}, err
+	_, sparse := b.set.(*core.SparseSet)
+	p := prepared{
+		d:            b.d,
+		admit:        admitKey{kind: kind, rep: b.rep, engine: b.engine.String()},
+		wantRevision: s.revsEnabled && b.k.deltaBase && sparse,
+		isDelta:      warm != nil,
 	}
-	if warm != nil && kind != "decision" && kind != "mixed" {
-		return prepared{}, fmt.Errorf("serve: warm start applies to decision and mixed solves only, not %q", kind)
+	if warm != nil && b.d == warm.baseKey {
+		// Identity delta: the materialized content IS the base content,
+		// so the canonical answer is the base solve itself. Demote to a
+		// plain re-solve of the base — normally a cache hit returning the
+		// base bytes bitwise; a cold regeneration of those exact bytes
+		// (refreshing the revision) when the cache evicted them. Either
+		// way the response lands on the base's content address, never a
+		// warm lineage address.
+		warm = nil
+	} else if warm != nil {
+		// Warm-started bytes are certified but not bitwise what a cold
+		// solve would produce, so they live under a lineage address,
+		// never the plain content address.
+		p.d = warmDigest(b.d, warm.baseKey)
 	}
-
-	switch kind {
-	case "decision", "maximize":
-		if req.Instance == nil {
-			return prepared{}, fmt.Errorf("serve: %s request needs an instance", kind)
-		}
-		if req.Program != nil {
-			return prepared{}, fmt.Errorf("serve: %s request cannot carry a program", kind)
-		}
-		set, err := instio.Build(req.Instance)
-		if err != nil {
-			return prepared{}, err
-		}
-		if scale := req.scaleOrOne(); scale != 1 {
-			if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
-				return prepared{}, fmt.Errorf("serve: scale = %v must be positive and finite", req.Scale)
-			}
-			set = set.WithScale(scale)
-			// Build checked traces before scaling; a huge scale can push
-			// them to +Inf here, which would silently zero coordinates in
-			// the solver's initial point — and then be cached as a 200.
-			for i := 0; i < set.N(); i++ {
-				if tr := set.Trace(i); math.IsNaN(tr) || math.IsInf(tr, 0) {
-					return prepared{}, fmt.Errorf("serve: scale %v overflows constraint %d trace to %v", scale, i, tr)
-				}
-			}
-		}
-		if err := oracleMatchesSet(opts.Oracle, set); err != nil {
-			return prepared{}, err
-		}
-		d, err := requestDigest(kind, req, set, nil, nil, opts.Engine)
-		if err != nil {
-			return prepared{}, err
-		}
-		p := prepared{d: d, plain: d, rep: representationOf(set), engine: canonicalEngine(kind, opts.Engine, set, req.Eps).String()}
-		eps := req.Eps
-		if kind == "decision" {
-			p.wantRevision = s.revsEnabled && p.rep == repSparse
-			if warm != nil {
-				p.isDelta = true
-				if d == warm.baseKey {
-					// Identity delta: the materialized content IS the base
-					// content, so the canonical answer is the base solve
-					// itself. Demote to a plain re-solve of the base —
-					// normally a cache hit returning the base bytes
-					// bitwise; a cold regeneration of those exact bytes
-					// (refreshing the revision) when the cache evicted
-					// them. Either way the response lands on the base's
-					// content address, never a warm lineage address.
-					warm = nil
-				} else {
-					// Warm-started bytes are certified but not bitwise
-					// what a cold solve would produce, so they live under
-					// a lineage address, never the plain content address.
-					p.d = warmDigest(d, warm.baseKey)
-				}
-			}
-			key, inst, record := p.d, req.Instance, p.wantRevision
-			p.fn = s.solveClosure("decision", func(ctx context.Context, ws *work.Workspace) (any, error) {
-				o := opts
-				o.Ctx, o.Workspace = ctx, ws
-				var st core.SolveStats
-				o.Phases = &st
-				// The snapshot costs three O(n) copies at finish; skip it
-				// when the revision store is disabled and would drop it.
-				o.CaptureState = record
-				if warm != nil {
-					o.WarmStart = warm.state
-				}
-				dr, err := core.DecisionPSDP(set, eps, o)
-				if err != nil {
-					return nil, err
-				}
-				s.recordPhases(&st)
-				if record {
-					s.recordRevision(key, inst, dr, warm)
-				}
-				return decisionResponse(eps, dr), nil
-			})
-			return p, nil
-		}
-		p.fn = s.solveClosure("maximize", func(ctx context.Context, ws *work.Workspace) (any, error) {
-			o := opts
-			o.Ctx, o.Workspace = ctx, ws
-			var st core.SolveStats
-			o.Phases = &st
-			sol, err := core.MaximizePacking(set, eps, o)
-			if err != nil {
-				return nil, err
-			}
-			s.recordPhases(&st)
-			return maximizeResponse(eps, sol), nil
-		})
-		return p, nil
-
-	case "mixed":
-		if req.Instance == nil {
-			return prepared{}, errors.New("serve: mixed request needs an instance")
-		}
-		if req.Program != nil {
-			return prepared{}, errors.New("serve: mixed request cannot carry a program")
-		}
-		if req.scaleOrOne() != 1 {
-			return prepared{}, errors.New("serve: mixed requests do not support scale")
-		}
-		prob, err := instio.BuildMixed(req.Instance)
-		if err != nil {
-			return prepared{}, err
-		}
-		if err := oracleMatchesSet(opts.Oracle, prob.Pack); err != nil {
-			return prepared{}, err
-		}
-		d, err := requestDigest(kind, req, prob.Pack, nil, prob.Cover, opts.Engine)
-		if err != nil {
-			return prepared{}, err
-		}
-		p := prepared{d: d, plain: d, rep: "mixed-" + representationOf(prob.Pack),
-			engine: canonicalEngine(kind, opts.Engine, prob.Pack, req.Eps).String()}
-		// Only sparse-packed mixed instances can be delta bases (same
-		// rule as decision: ApplyDelta edits sparse triplets), so only
-		// those pay the revision snapshot.
-		p.wantRevision = s.revsEnabled && p.rep == repMixedSparse
-		if warm != nil {
-			p.isDelta = true
-			if d == warm.baseKey {
-				// Identity delta: demote to a plain re-solve of the base,
-				// exactly like the decision path.
-				warm = nil
-			} else {
-				p.d = warmDigest(d, warm.baseKey)
-			}
-		}
-		eps := req.Eps
-		mo := mixed.Options{
-			MaxIter: req.MaxIter,
-			Seed:    req.Seed,
-			Oracle:  opts.Oracle,
-			Engine:  opts.Engine,
-		}
-		key, inst, record := p.d, req.Instance, p.wantRevision
-		p.fn = s.solveClosure("mixed", func(_ context.Context, _ *work.Workspace) (any, error) {
-			o := mo
-			if warm != nil {
-				// A reshaped delta (added/removed constraints) fails the
-				// solver's warm-start shape guard and falls back cold;
-				// Result.WarmStarted reports which happened.
-				o.WarmStart = warm.mixedX
-			}
-			mr, err := mixed.Solve(prob, eps, o)
-			if err != nil {
-				return nil, err
-			}
-			// The mixed engine has no phase instrumentation (its inner
-			// loop is a width-reduced first-order method, not the
-			// oracle/expm pipeline); its iterations still count.
-			s.phases.iterations.Add(int64(mr.Iterations))
-			if record {
-				s.recordMixedRevision(key, inst, mr, warm)
-			}
-			return mixedResponse(eps, mr), nil
-		})
-		return p, nil
-
-	case "solve":
-		if req.Program == nil {
-			return prepared{}, errors.New("serve: solve request needs a program")
-		}
-		if req.Instance != nil {
-			return prepared{}, errors.New("serve: solve request cannot carry an instance")
-		}
-		prog, err := req.Program.build()
-		if err != nil {
-			return prepared{}, err
-		}
-		d, err := requestDigest(kind, req, nil, prog, nil, opts.Engine)
-		if err != nil {
-			return prepared{}, err
-		}
-		eps := req.Eps
-		p := prepared{d: d, plain: d, rep: repProgram, engine: opts.Engine.String()}
-		p.fn = s.solveClosure("solve", func(ctx context.Context, ws *work.Workspace) (any, error) {
-			o := opts
-			o.Ctx, o.Workspace = ctx, ws
-			var st core.SolveStats
-			o.Phases = &st
-			cs, err := core.SolveCovering(prog, eps, o)
-			if err != nil {
-				return nil, err
-			}
-			s.recordPhases(&st)
-			return solveResponse(eps, cs), nil
-		})
-		return p, nil
-
-	default:
-		return prepared{}, fmt.Errorf("serve: unknown request kind %q", kind)
-	}
+	p.fn = s.solveClosure(b, req.Instance, p.d, p.wantRevision, warm)
+	return p, nil
 }
 
-// recordRevision stores the finished decision solve in the revision
-// store (making it a warm-startable base for future deltas) and, on
-// the delta path, records the lineage and the warm-vs-cold split.
-func (s *Server) recordRevision(key digest, inst *instio.Instance, dr *core.DecisionResult, warm *warmLink) {
-	rev := &store.Revision{Inst: inst, State: dr.Final}
+// solveClosure is the one solve path every kind runs through: the test
+// hook, the solve counter, the kind's run, phase and revision
+// recording, the capacity floor, the latency EWMA, and the per-kind
+// solve-latency histogram. record asks for a revision under key.
+func (s *Server) solveClosure(b *built, inst *instio.Instance, key digest, record bool, warm *warmLink) poolFn {
+	var base *store.Revision
 	if warm != nil {
-		// The parent link is what the revision store's pinning policy
-		// walks: while this derived revision lives, its base cannot be
-		// evicted out from under the warm-start chain.
-		rev.Parent = &warm.baseKey
+		base = warm.rev
 	}
-	s.revs.Put(key, rev)
-	if warm == nil {
-		return
-	}
-	if dr.WarmStarted {
-		s.stats.warmStarts.Add(1)
-	} else {
-		s.stats.warmColdFallbacks.Add(1)
-	}
-	s.lineage.Add(LineageEntry{
-		Base:        warm.baseHex,
-		Derived:     key.String(),
-		WarmStarted: dr.WarmStarted,
-		Iterations:  dr.Iterations,
-	})
-}
-
-// recordMixedRevision is recordRevision's mixed counterpart: the
-// stored warm-start payload is the final iterate X rather than a
-// decision state, and the lineage/warm counters read the mixed result.
-func (s *Server) recordMixedRevision(key digest, inst *instio.Instance, mr *mixed.Result, warm *warmLink) {
-	rev := &store.Revision{Inst: inst, MixedX: mr.X}
-	if warm != nil {
-		rev.Parent = &warm.baseKey
-	}
-	s.revs.Put(key, rev)
-	if warm == nil {
-		return
-	}
-	if mr.WarmStarted {
-		s.stats.warmStarts.Add(1)
-	} else {
-		s.stats.warmColdFallbacks.Add(1)
-	}
-	s.lineage.Add(LineageEntry{
-		Base:        warm.baseHex,
-		Derived:     key.String(),
-		WarmStarted: mr.WarmStarted,
-		Iterations:  mr.Iterations,
-	})
-}
-
-// solveClosure wraps a solve with the counters, the latency EWMA, the
-// per-kind solve-latency histogram, and the test hook.
-func (s *Server) solveClosure(kind string, fn poolFn) poolFn {
 	return func(ctx context.Context, ws *work.Workspace) (any, error) {
 		if s.testHookBeforeSolve != nil {
 			s.testHookBeforeSolve()
 		}
 		s.stats.solves.Add(1)
 		start := time.Now()
-		v, err := fn(ctx, ws)
+		var st core.SolveStats
+		o := b.opts
+		// The state snapshot costs three O(n) copies at finish; take it
+		// only when a revision will keep it.
+		o.Ctx, o.Workspace, o.Phases, o.CaptureState = ctx, ws, &st, record
+		out, err := b.k.run(b, o, base)
+		if err == nil {
+			s.recordPhases(&st)
+			if record {
+				s.recordRevision(key, inst, out, warm)
+			}
+		}
 		if floor := s.cfg.SolveFloor; floor > 0 {
 			// Capacity modeling: the worker stays held until the floor
 			// elapses, so per-replica throughput is exactly
@@ -1105,13 +785,43 @@ func (s *Server) solveClosure(kind string, fn poolFn) poolFn {
 				time.Sleep(rem)
 			}
 		}
-		if err == nil {
-			sec := time.Since(start).Seconds()
-			s.observeSolveSeconds(sec)
-			s.metrics.observeSolve(kind, sec)
+		if err != nil {
+			return nil, err
 		}
-		return v, err
+		sec := time.Since(start).Seconds()
+		s.observeSolveSeconds(sec)
+		s.metrics.observeSolve(b.k.name, sec)
+		return out.resp, nil
 	}
+}
+
+// recordRevision stores a finished solve in the revision store (making
+// it a warm-startable base for future deltas) and, on the delta path,
+// records the lineage and the warm-vs-cold split.
+func (s *Server) recordRevision(key digest, inst *instio.Instance, out solved, warm *warmLink) {
+	rev := out.rev
+	rev.Inst = inst
+	if warm != nil {
+		// The parent link is what the revision store's pinning policy
+		// walks: while this derived revision lives, its base cannot be
+		// evicted out from under the warm-start chain.
+		rev.Parent = &warm.baseKey
+	}
+	s.revs.Put(key, &rev)
+	if warm == nil {
+		return
+	}
+	if out.warmStarted {
+		s.stats.warmStarts.Add(1)
+	} else {
+		s.stats.warmColdFallbacks.Add(1)
+	}
+	s.lineage.Add(LineageEntry{
+		Base:        warm.baseHex,
+		Derived:     key.String(),
+		WarmStarted: out.warmStarted,
+		Iterations:  out.resp.iterCount(),
+	})
 }
 
 // observeSolveSeconds folds one successful solve's wall time into the
@@ -1147,94 +857,23 @@ func (s *Server) retryAfterSeconds() int {
 	return min(max(secs, 1), 30)
 }
 
-// oracleMatchesSet front-loads the oracle/representation mismatch the
-// solver would otherwise report from inside the pool, so it costs no
-// queue slot and maps to 400 rather than 500.
-func oracleMatchesSet(kind core.OracleKind, set core.ConstraintSet) error {
-	_, isDense := set.(*core.DenseSet)
-	switch kind {
-	case core.OracleDenseExact:
-		if !isDense {
-			return errors.New("serve: oracle \"dense\" requires a dense instance")
-		}
-	case core.OracleFactoredJL, core.OracleFactoredExact:
-		if isDense {
-			return errors.New("serve: oracles \"jl\" and \"exact\" require a factored or sparse instance")
-		}
+// readSolveBody is the front door of every solve route: it counts the
+// request, redirects it while draining, and strictly parses the JSON
+// body into dst, answering 400 when that fails. It reports whether the
+// handler should go on.
+func (s *Server) readSolveBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+	s.stats.requests.Add(1)
+	if s.redirectIfDraining(w, r) {
+		return false
 	}
-	return nil
-}
-
-func decisionResponse(eps float64, dr *core.DecisionResult) *DecisionResponse {
-	gap := math.Inf(1)
-	if dr.Lower > 0 {
-		gap = dr.Upper/dr.Lower - 1
-	}
-	return &DecisionResponse{
-		Kind:         "decision",
-		Eps:          eps,
-		Outcome:      dr.Outcome.String(),
-		Iterations:   dr.Iterations,
-		Lower:        Num(dr.Lower),
-		Upper:        Num(dr.Upper),
-		RelativeGap:  Num(gap),
-		X:            dr.DualX,
-		LambdaMaxPsi: Num(dr.LambdaMaxPsi),
-		MaxPsiNorm:   Num(dr.MaxPsiNorm),
-	}
-}
-
-func maximizeResponse(eps float64, sol *core.Solution) *MaximizeResponse {
-	return &MaximizeResponse{
-		Kind:            "maximize",
-		Eps:             eps,
-		Value:           Num(sol.Value),
-		Lower:           Num(sol.Lower),
-		Upper:           Num(sol.Upper),
-		RelativeGap:     Num(sol.Gap()),
-		X:               sol.X,
-		DecisionCalls:   sol.DecisionCalls,
-		TotalIterations: sol.TotalIterations,
-	}
-}
-
-func mixedResponse(eps float64, mr *mixed.Result) *MixedResponse {
-	return &MixedResponse{
-		Kind:        "mixed",
-		Eps:         eps,
-		Status:      mr.Status.String(),
-		Engine:      mr.Engine,
-		Iterations:  mr.Iterations,
-		Capped:      mr.Capped,
-		WarmStarted: mr.WarmStarted,
-		MinCoverage: Num(mr.MinCoverage),
-		LambdaMax:   Num(mr.LambdaMax),
-		X:           mr.X,
-	}
-}
-
-func solveResponse(eps float64, cs *core.CoveringSolution) *SolveResponse {
-	return &SolveResponse{
-		Kind:            "solve",
-		Eps:             eps,
-		Lower:           Num(cs.Lower),
-		Upper:           Num(cs.Upper),
-		DualX:           cs.DualX,
-		Objective:       Num(cs.Objective),
-		DecisionCalls:   cs.DecisionCalls,
-		TotalIterations: cs.TotalIterations,
-	}
-}
-
-// decodeBody strictly parses a JSON request body into dst.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("serve: parsing request: %w", err)
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 func (s *Server) writeResult(w http.ResponseWriter, status int, cacheState string, body []byte) {

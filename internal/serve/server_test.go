@@ -606,24 +606,33 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	doc := denseInstance(t, 4, 6, 91)
+	prog := &ProgramDoc{C: [][]float64{{2, 0}, {0, 1}}, A: [][][]float64{{{1, 0}, {0, 0.5}}}, B: []float64{1}}
 	cases := []struct {
-		name string
-		req  any
-		want int
+		name, path string
+		req        any
+		want       int
 	}{
-		{"bad-eps", &Request{Instance: doc, Eps: 1.5}, http.StatusBadRequest},
-		{"no-instance", &Request{Eps: 0.2}, http.StatusBadRequest},
-		{"bad-oracle", &Request{Instance: doc, Eps: 0.2, Oracle: "quantum"}, http.StatusBadRequest},
-		{"oracle-mismatch", &Request{Instance: doc, Eps: 0.2, Oracle: "jl"}, http.StatusBadRequest},
-		{"bad-scale", &Request{Instance: doc, Eps: 0.2, Scale: -1}, http.StatusBadRequest},
-		{"unknown-field", map[string]any{"instance": doc, "eps": 0.2, "bogus": 1}, http.StatusBadRequest},
-		{"program-on-decision", &Request{Instance: doc, Program: &ProgramDoc{C: [][]float64{{1}}}, Eps: 0.2}, http.StatusBadRequest},
+		{"bad-eps", "/v1/decision", &Request{Instance: doc, Eps: 1.5}, http.StatusBadRequest},
+		{"no-instance", "/v1/decision", &Request{Eps: 0.2}, http.StatusBadRequest},
+		{"bad-oracle", "/v1/decision", &Request{Instance: doc, Eps: 0.2, Oracle: "quantum"}, http.StatusBadRequest},
+		{"oracle-mismatch", "/v1/decision", &Request{Instance: doc, Eps: 0.2, Oracle: "jl"}, http.StatusBadRequest},
+		{"bad-scale", "/v1/decision", &Request{Instance: doc, Eps: 0.2, Scale: -1}, http.StatusBadRequest},
+		{"unknown-field", "/v1/decision", map[string]any{"instance": doc, "eps": 0.2, "bogus": 1}, http.StatusBadRequest},
+		{"program-on-decision", "/v1/decision", &Request{Instance: doc, Program: &ProgramDoc{C: [][]float64{{1}}}, Eps: 0.2}, http.StatusBadRequest},
+		// /v1/solve ignores scale, so accepting it would cache one answer
+		// under several digests.
+		{"solve-scale", "/v1/solve", &Request{Program: prog, Eps: 0.2, Scale: 0.5}, http.StatusBadRequest},
+		{"solve-negative-scale", "/v1/solve", &Request{Program: prog, Eps: 0.2, Scale: -1}, http.StatusBadRequest},
+		// A program normalizes to a dense set, so the factored oracles
+		// are a client error, caught before admission.
+		{"solve-oracle-jl", "/v1/solve", &Request{Program: prog, Eps: 0.2, Oracle: "jl"}, http.StatusBadRequest},
+		{"solve-oracle-exact", "/v1/solve", &Request{Program: prog, Eps: 0.2, Oracle: "exact"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts.URL+"/v1/decision", tc.req)
+			resp, body := postJSON(t, ts.URL+tc.path, tc.req)
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status %d (%s), want %d", resp.StatusCode, body, tc.want)
 			}
@@ -632,6 +641,12 @@ func TestValidationErrors(t *testing.T) {
 				t.Fatalf("error body missing: %s", body)
 			}
 		})
+	}
+	if st := s.Stats(); st.Admitted != 0 || st.Errors != 0 {
+		t.Fatalf("rejections moved admitted=%d errors=%d, want 0/0", st.Admitted, st.Errors)
+	}
+	if n := len(s.SlowSnapshot()); n != 0 {
+		t.Fatalf("rejections left %d /debugz/slow records, want 0", n)
 	}
 }
 

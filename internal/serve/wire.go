@@ -62,7 +62,9 @@ func (v *Num) UnmarshalJSON(b []byte) error {
 // /v1/maximize require Instance; /v1/mixed requires an Instance whose
 // mixed section is set; /v1/solve requires Program. Kind is only
 // meaningful inside /v1/batch items, where it selects the endpoint
-// ("decision", "maximize", "solve", or "mixed").
+// ("decision", "maximize", "solve", or "mixed"). Each kind honours only
+// the optional solver fields its solver reads (kindSpec.honours) and
+// rejects the others when set.
 type Request struct {
 	Kind     string           `json:"kind,omitempty"`
 	Instance *instio.Instance `json:"instance,omitempty"`
