@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-smoke vet lint ci fuzz bench bench-kernels bench-delta bench-engines bench-mixed bench-obs bench-cluster examples experiments serve load smoke-serve smoke-cluster
+.PHONY: build test race race-smoke vet lint ci fuzz bench bench-kernels bench-delta bench-engines bench-mixed bench-obs bench-cluster examples experiments serve load smoke-serve smoke-cluster e2ebench-test
 
 ## build: compile every package and command
 build:
@@ -49,6 +49,11 @@ fuzz:
 	$(GO) test ./internal/instio -fuzz=FuzzBuild -fuzztime=30s
 	$(GO) test ./internal/sparse -fuzz=FuzzNewCSC -fuzztime=30s
 	$(GO) test . -fuzz=FuzzEngineAgreement -fuzztime=30s
+
+## e2ebench-test: the end-to-end benchmark module's own unit tests
+## (e2ebench is a separate Go module importing this one; offline)
+e2ebench-test:
+	cd e2ebench && $(GO) test ./...
 
 ## bench: refresh the committed kernel perf baseline BENCH_psdp.json
 bench:

@@ -108,7 +108,13 @@ type Front struct {
 	rejected    atomic.Int64
 	noMembers   atomic.Int64
 	digestFails atomic.Int64
+	memoHits    atomic.Int64
 	rr          atomic.Uint64
+
+	// bodies memoizes the routing key of every solve body whose digest
+	// the front has computed, so a byte-identical repeat is routed
+	// without a decode, build or digest.
+	bodies serve.BodyMemo[store.Key]
 }
 
 // NewFront builds the router. Start must be called to begin health
@@ -169,6 +175,7 @@ type FrontStats struct {
 	Rejected      int64          `json:"rejected"`
 	NoMembers     int64          `json:"noMembers"`
 	DigestFails   int64          `json:"digestFallbacks"`
+	BodyMemoHits  int64          `json:"bodyMemoHits"`
 	Members       []MemberStatus `json:"members"`
 	Converged     bool           `json:"converged"`
 	PerPeer       map[string]any `json:"perPeer"`
@@ -191,6 +198,7 @@ func (f *Front) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		Rejected:      f.rejected.Load(),
 		NoMembers:     f.noMembers.Load(),
 		DigestFails:   f.digestFails.Load(),
+		BodyMemoHits:  f.memoHits.Load(),
 		Members:       f.prober.Snapshot(),
 		Converged:     f.prober.Converged(),
 		PerPeer:       per,
@@ -266,8 +274,7 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		fmt.Fprintln(w, `{"error":"front: too many requests in flight"}`)
 		return nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := serve.ReadBody(w, r, f.cfg.MaxBodyBytes)
 	if err != nil {
 		f.inFlight.Add(-1)
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "front: reading request: " + err.Error()})
@@ -292,20 +299,38 @@ func (f *Front) retryAfterSeconds() int {
 	return min(max(secs, 1), 30)
 }
 
-// ownerFor computes the request's content digest and returns its
-// owner; digest failures (malformed requests) fall back to round-robin
-// so the owning replica produces the canonical error response.
+// ownerFor returns the owner of the request's content digest, taken
+// from the body memo or else computed and memoized; digest failures
+// (malformed requests) fall back to round-robin so the owning replica
+// produces the canonical error response.
 func (f *Front) ownerFor(kind string, body []byte) string {
-	var req serve.Request
-	if err := json.Unmarshal(body, &req); err == nil {
-		if key, derr := serve.ContentDigest(kind, &req, f.cfg.DefaultEngine); derr == nil {
-			if owner, ok := f.ring.OwnerName(key); ok {
-				return owner
-			}
+	if key, ok := f.digestOf(kind, body); ok {
+		if owner, ok := f.ring.OwnerName(key); ok {
+			return owner
 		}
 	}
 	f.digestFails.Add(1)
 	return f.nextRR()
+}
+
+// digestOf returns the body's content digest, from the memo or else
+// computed and memoized; false when the body has none.
+func (f *Front) digestOf(kind string, body []byte) (store.Key, bool) {
+	bk := serve.HashBody(kind, body)
+	if key, ok := f.bodies.Get(bk); ok {
+		f.memoHits.Add(1)
+		return key, true
+	}
+	var req serve.Request
+	if json.Unmarshal(body, &req) != nil {
+		return store.Key{}, false
+	}
+	key, err := serve.ContentDigest(kind, &req, f.cfg.DefaultEngine)
+	if err != nil {
+		return store.Key{}, false
+	}
+	f.bodies.Put(bk, key)
+	return key, true
 }
 
 // nextRR returns the next healthy member round-robin ("" when none).
@@ -394,6 +419,7 @@ func (f *Front) registerMetrics() {
 	fc("psdpfront_rejected_total", "Requests 429d by the front's own admission gate.", f.rejected.Load)
 	fc("psdpfront_no_members_total", "Requests failed for lack of a healthy member.", f.noMembers.Load)
 	fc("psdpfront_digest_fallbacks_total", "Requests routed round-robin because no digest could be computed.", f.digestFails.Load)
+	fc("psdpfront_body_memo_hits_total", "Solve requests routed by a memoized digest (no decode, build or digest).", f.memoHits.Load)
 	f.reg.GaugeFunc("psdpfront_in_flight", "Requests currently proxied.",
 		func() float64 { return float64(f.inFlight.Load()) })
 	f.reg.GaugeFunc("psdpfront_members_healthy", "Members currently healthy.",

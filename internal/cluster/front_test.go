@@ -2,10 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 // The front's own admission 429 derives Retry-After from the slowest
@@ -72,5 +77,51 @@ func TestPeerStateEWMA(t *testing.T) {
 	p.observe(8.0)
 	if got := p.ewma(); got != 4.5 {
 		t.Fatalf("ewma after (4, 8) = %v, want 4.5", got)
+	}
+}
+
+// The owner the front takes from its body memo is the owner of the
+// request's content digest: the memo only skips the decode, build and
+// digest of a byte-identical repeat. A body the front cannot digest is
+// never memoized.
+func TestFrontMemoRoutesLikeContentDigest(t *testing.T) {
+	f := NewFront(FrontConfig{Members: []string{"http://peer-a", "http://peer-b", "http://peer-c"}})
+	var bodies [][]byte
+	var owners []string
+	for seed := uint64(1); seed <= 8; seed++ {
+		req := serve.Request{Instance: denseInstance(t, 4, 6, 40+seed), Eps: 0.25, Seed: seed}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := serve.ContentDigest("decision", &req, core.EngineMMW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, ok := f.ring.OwnerName(key)
+		if !ok {
+			t.Fatal("ring has no owner")
+		}
+		bodies, owners = append(bodies, body), append(owners, owner)
+	}
+	if !slices.ContainsFunc(owners, func(o string) bool { return o != owners[0] }) {
+		t.Fatal("every body has one owner; the test needs several")
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, body := range bodies {
+			if got := f.ownerFor("decision", body); got != owners[i] {
+				t.Fatalf("pass %d body %d: routed to %s, digest owner %s", pass, i, got, owners[i])
+			}
+		}
+	}
+	if got := f.memoHits.Load(); got != int64(len(bodies)) {
+		t.Fatalf("memo hits %d, want %d (every body of the second pass)", got, len(bodies))
+	}
+	bad := append(bytes.Clone(bodies[0]), " garbage"...)
+	f.ownerFor("decision", bad)
+	f.ownerFor("decision", bad)
+	if f.memoHits.Load() != int64(len(bodies)) || f.digestFails.Load() != 2 {
+		t.Fatalf("undigestable body: memo hits %d, digest fallbacks %d; want %d and 2",
+			f.memoHits.Load(), f.digestFails.Load(), len(bodies))
 	}
 }

@@ -302,13 +302,24 @@ func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
 	}
 
 	// Analytic cost per Theorem 4.1: k ExpMV passes + k·q constraint dots.
-	expm.ExpMVStats(o.st, o.set.NNZ(), normHalf, o.tol, m)
-	o.st.Add(int64(o.rows)*int64(2*o.set.NNZ()), parallel.Log2(m))
+	addRowsCost(o.st, o.rows, o.set.NNZ(), normHalf, o.tol, m)
 
 	return r, oracleInfo{
 		LambdaMax: o.lambdaEst,
 		LogTrW:    2*maxLog + math.Log(trEst),
 	}, nil
+}
+
+// addRowsCost records the analytic cost of one operator-oracle call:
+// rows concurrent ExpMV chains (rows × one chain's work, one chain's
+// depth) followed by rows·q constraint dots through ExpDots.
+func addRowsCost(st *parallel.Stats, rows, nnz int, normHalf, tol float64, m int) {
+	if st == nil {
+		return
+	}
+	w, d := expm.ExpMVCost(nnz, normHalf, tol, m)
+	st.Add(int64(rows)*w, d)
+	st.Add(int64(rows)*int64(2*nnz), parallel.Log2(m))
 }
 
 // sumSquares returns Σ aᵢ² with the same deterministic block reduction
@@ -516,7 +527,7 @@ func (o *opExactOracle) ratios() ([]float64, oracleInfo, error) {
 	for i := 0; i < n; i++ {
 		r[i] /= trEst
 	}
-	o.st.Add(int64(m)*int64(2*o.set.NNZ()), parallel.Log2(m))
+	addRowsCost(o.st, m, o.set.NNZ(), normHalf, 1e-12, m)
 	return r, oracleInfo{LambdaMax: o.lambdaEst, LogTrW: 2*maxLog + math.Log(trEst)}, nil
 }
 

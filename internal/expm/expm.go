@@ -245,10 +245,10 @@ func ExpMVInto(dst []float64, apply func(in, out []float64), v []float64, normUB
 	return logScale
 }
 
-// ExpMVStats estimates the analytic work/depth of one ExpMV call with
-// the given operator nnz and norm bound: segments·terms applies in
+// ExpMVCost estimates the analytic work and depth of one ExpMV call
+// with the given operator nnz and norm bound: segments·terms applies in
 // sequence, each O(nnz) work and O(log m) depth.
-func ExpMVStats(st *parallel.Stats, nnz int, normUB, tol float64, m int) {
+func ExpMVCost(nnz int, normUB, tol float64, m int) (work, depth int64) {
 	if tol <= 0 {
 		tol = 1e-12
 	}
@@ -256,6 +256,6 @@ func ExpMVStats(st *parallel.Stats, nnz int, normUB, tol float64, m int) {
 	if segments < 1 {
 		segments = 1
 	}
-	terms := int(math.Ceil(math.Log(1/tol))) + int(expMVSegNorm)
-	st.Add(int64(segments)*int64(terms)*int64(2*nnz+2*m), int64(segments)*int64(terms)*parallel.Log2(m))
+	terms := int64(segments) * int64(int(math.Ceil(math.Log(1/tol)))+int(expMVSegNorm))
+	return terms * int64(2*nnz+2*m), terms * parallel.Log2(m)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/eigen"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
 func randPSD(n, r int, rng *rand.Rand) *matrix.Dense {
@@ -289,16 +288,12 @@ func TestQuickExpMVNorm(t *testing.T) {
 	}
 }
 
-func TestExpMVStatsAccumulates(t *testing.T) {
-	var st parallel.Stats
-	ExpMVStats(&st, 100, 16, 1e-12, 32)
-	if st.Work() <= 0 || st.Depth() <= 0 {
-		t.Fatalf("stats not accumulated: work=%d depth=%d", st.Work(), st.Depth())
+func TestExpMVCostGrowsWithNorm(t *testing.T) {
+	w1, d1 := ExpMVCost(100, 16, 1e-12, 32)
+	if w1 <= 0 || d1 <= 0 {
+		t.Fatalf("no analytic cost: work=%d depth=%d", w1, d1)
 	}
-	w1 := st.Work()
-	st.Reset()
-	ExpMVStats(&st, 100, 32, 1e-12, 32)
-	if st.Work() <= w1 {
+	if w2, _ := ExpMVCost(100, 32, 1e-12, 32); w2 <= w1 {
 		t.Fatal("doubling the norm bound should increase analytic work")
 	}
 }

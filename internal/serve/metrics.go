@@ -120,6 +120,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 		_, mi := s.results.Counters()
 		return float64(mi)
 	})
+	cf("psdpd_body_memo_hits_total", "Solve requests answered through the body memo (no decode, build or digest).", s.stats.bodyMemoHits.Load)
 	r.GaugeFunc("psdpd_cache_entries", "Content-cache population.", func() float64 { return float64(s.results.Len()) })
 	r.GaugeFunc("psdpd_revisions", "Warm-start revision store population.", func() float64 { return float64(s.revs.Len()) })
 

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -166,6 +168,9 @@ type counters struct {
 	deltaBaseMisses   atomic.Int64
 	warmStarts        atomic.Int64
 	warmColdFallbacks atomic.Int64
+	// bodyMemoHits counts solve requests answered through the body memo
+	// (no decode, no build, no digest).
+	bodyMemoHits atomic.Int64
 	// admits counts ADMITTED requests per (kind, representation, engine)
 	// label combination, preallocated from the kind table. It moves at
 	// the single point where a request has passed every validation gate
@@ -228,6 +233,10 @@ type Server struct {
 
 	fmu     sync.Mutex
 	flights map[digest]*flight
+
+	// bodies memoizes, per raw solve body this replica accepted, what
+	// prepare derived from it (see memo.go).
+	bodies BodyMemo[memoEntry]
 
 	// solveSeconds is an EWMA of observed successful solve wall times
 	// (float64 bits in seconds), fed by solveClosure and read by
@@ -355,6 +364,7 @@ func (s *Server) Stats() StatsResponse {
 		DeltaBaseMisses:       s.stats.deltaBaseMisses.Load(),
 		WarmStarts:            s.stats.warmStarts.Load(),
 		ColdFallbacks:         s.stats.warmColdFallbacks.Load(),
+		BodyMemoHits:          s.stats.bodyMemoHits.Load(),
 		Revisions:             s.revs.Len(),
 		DeltaLineage:          s.lineage.Snapshot(),
 		SolverIterations:      s.phases.iterations.Load(),
@@ -403,14 +413,63 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// handleKind serves one solve route. A body this replica has accepted
+// before is answered from the memo when its answer is still stored;
+// any other body is decoded and runs the full pipeline, which memoizes
+// it once it passes validation.
 func (s *Server) handleKind(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if !s.readSolveBody(w, r, &req) {
+		body, ok := s.readSolveBody(w, r)
+		if !ok {
 			return
 		}
-		s.writeSolve(w, s.solveOne(r.Context(), kind, &req, nil))
+		key := HashBody(kind, body)
+		s.writeSolve(w, s.solveOne(r.Context(), kind, func() solveResult {
+			if res, ok := s.memoHit(key); ok {
+				return res
+			}
+			var req Request
+			if err := decodeBody(body, &req); err != nil {
+				return solveResult{status: http.StatusBadRequest, body: marshalError(err)}
+			}
+			return s.solveRun(r.Context(), kind, &req, nil, &key)
+		}))
 	}
+}
+
+// memoEntry is what prepare derived from one memoized body: the
+// content address, the admission labels, and whether a stored answer
+// also needs its revision to count as a hit.
+type memoEntry struct {
+	d            digest
+	admit        admitKey
+	wantRevision bool
+}
+
+// memoHit answers a memoized body from the stores, exactly as
+// solveRun's cache check would answer the decoded request: the same
+// bytes, headers and admission counters. It reports false when the
+// body is not memoized or its answer (or the revision it needs) is no
+// longer stored; the caller then runs the full pipeline. The revision
+// is checked first, so a base whose revision was evicted does not count
+// a second result-cache hit on its way to the re-solve.
+func (s *Server) memoHit(key BodyKey) (solveResult, bool) {
+	e, ok := s.bodies.Get(key)
+	if !ok || e.wantRevision && s.revs.Get(e.d) == nil {
+		return solveResult{}, false
+	}
+	body, iters := s.results.Get(e.d)
+	if body == nil {
+		return solveResult{}, false
+	}
+	s.stats.bodyMemoHits.Add(1)
+	s.stats.admitted.Add(1)
+	s.stats.admits[e.admit].Add(1)
+	return hitResult(e.d, body, iters), true
+}
+
+func hitResult(d digest, body []byte, iters int) solveResult {
+	return solveResult{status: http.StatusOK, cache: "hit", body: body, iters: iters, digest: d, haveDigest: true}
 }
 
 // writeSolve answers one solve with its content address and, behind a
@@ -435,7 +494,7 @@ func (s *Server) writeSolve(w http.ResponseWriter, res solveResult) {
 // never pollute the cold content address space.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if !s.readSolveBody(w, r, &req) {
+	if !s.readSolveRequest(w, r, &req) {
 		return
 	}
 	if req.Instance == nil || req.Instance.Delta == nil {
@@ -475,12 +534,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		kind = "mixed"
 	}
 	w.Header().Set("X-Psdpd-Base", dd.Base)
-	s.writeSolve(w, s.solveOne(r.Context(), kind, &dreq, &warmLink{baseKey: baseKey, baseHex: dd.Base, rev: rev}))
+	warm := &warmLink{baseKey: baseKey, baseHex: dd.Base, rev: rev}
+	s.writeSolve(w, s.solveOne(r.Context(), kind, func() solveResult {
+		return s.solveRun(r.Context(), kind, &dreq, warm, nil)
+	}))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
-	if !s.readSolveBody(w, r, &batch) {
+	if !s.readSolveRequest(w, r, &batch) {
 		return
 	}
 	if len(batch.Requests) == 0 {
@@ -503,7 +565,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if kind == "" {
 				kind = "decision"
 			}
-			res := s.solveOne(r.Context(), kind, req, nil)
+			res := s.solveOne(r.Context(), kind, func() solveResult {
+				return s.solveRun(r.Context(), kind, req, nil, nil)
+			})
 			item := BatchItemResult{Status: res.status, Cache: res.cache}
 			if res.status == http.StatusOK {
 				item.Response = res.body
@@ -546,14 +610,17 @@ type solveResult struct {
 	haveDigest bool
 }
 
-// solveOne times solveRun and feeds the slow/failed ring: every 5xx,
-// and every 200 whose wall time reached Config.SlowSolve, leaves a
-// record behind (with the request ID, when the context carries one, as
-// the join key back to the access log).
-func (s *Server) solveOne(clientCtx context.Context, kind string, req *Request, warm *warmLink) solveResult {
+// solveOne runs one solve attempt (a memo hit or solveRun), counts it
+// in flight, times it, and feeds the slow/failed ring: every 5xx, and
+// every 200 whose wall time reached Config.SlowSolve, leaves a record
+// behind (with the request ID, when the context carries one, as the
+// join key back to the access log).
+func (s *Server) solveOne(clientCtx context.Context, kind string, run func() solveResult) solveResult {
+	s.stats.inFlight.Add(1)
 	start := time.Now()
-	res := s.solveRun(clientCtx, kind, req, warm)
+	res := run()
 	elapsed := time.Since(start)
+	s.stats.inFlight.Add(-1)
 	slow := res.status == http.StatusOK && elapsed >= s.cfg.SlowSolve
 	if slow || res.status >= http.StatusInternalServerError {
 		e := SlowEntry{
@@ -578,11 +645,9 @@ func (s *Server) solveOne(clientCtx context.Context, kind string, req *Request, 
 
 // solveRun runs one request end to end: validate and build, digest,
 // cache lookup, singleflight join-or-lead, pool admission, solve.
-// warm is non-nil on the /v1/delta path only.
-func (s *Server) solveRun(clientCtx context.Context, kind string, req *Request, warm *warmLink) solveResult {
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-
+// warm is non-nil on the /v1/delta path only; memo, when non-nil, is
+// the key the request's body is memoized under once it is admitted.
+func (s *Server) solveRun(clientCtx context.Context, kind string, req *Request, warm *warmLink, memo *BodyKey) solveResult {
 	p, err := s.prepare(kind, req, warm)
 	if err != nil {
 		return solveResult{status: http.StatusBadRequest, body: marshalError(err)}
@@ -595,6 +660,9 @@ func (s *Server) solveRun(clientCtx context.Context, kind string, req *Request, 
 	s.stats.admits[p.admit].Add(1)
 	if p.isDelta {
 		s.stats.deltaRequests.Add(1)
+	}
+	if memo != nil {
+		s.bodies.Put(*memo, memoEntry{d: p.d, admit: p.admit, wantRevision: p.wantRevision})
 	}
 
 	// Followers share only success. A leader's failure can be specific
@@ -611,8 +679,7 @@ func (s *Server) solveRun(clientCtx context.Context, kind string, req *Request, 
 			// repopulate the revision store; everything else returns the
 			// cached bytes outright.
 			if !p.wantRevision || s.revs.Get(p.d) != nil {
-				out.status, out.cache, out.body, out.iters = http.StatusOK, "hit", cached, iters
-				return out
+				return hitResult(p.d, cached, iters)
 			}
 		}
 
@@ -858,22 +925,48 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // readSolveBody is the front door of every solve route: it counts the
-// request, redirects it while draining, and strictly parses the JSON
-// body into dst, answering 400 when that fails. It reports whether the
-// handler should go on.
-func (s *Server) readSolveBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+// request, redirects it while draining, and reads the body (at most
+// MaxBodyBytes), answering 400 when that fails. It returns the body and
+// whether the handler should go on.
+func (s *Server) readSolveBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	s.stats.requests.Add(1)
 	if s.redirectIfDraining(w, r) {
+		return nil, false
+	}
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// readSolveRequest is readSolveBody followed by decodeBody into dst.
+func (s *Server) readSolveRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
+	body, ok := s.readSolveBody(w, r)
+	if !ok {
 		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
+	if err := decodeBody(body, dst); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// decodeBody strictly parses body into dst: unknown fields are an
+// error, and so is anything but whitespace after the JSON value — a
+// body with trailing bytes is not the request its prefix spells.
+func decodeBody(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("serve: parsing request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("serve: parsing request: unexpected data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Server) writeResult(w http.ResponseWriter, status int, cacheState string, body []byte) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,11 +46,14 @@ func postJSON(t *testing.T, url string, req any) (*http.Response, []byte) {
 }
 
 // tryPostJSON is the non-fatal form, safe to call off the test
-// goroutine.
+// goroutine. A []byte request is posted as it is.
 func tryPostJSON(url string, req any) (*http.Response, []byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
+	body, ok := req.([]byte)
+	if !ok {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return nil, nil, err
+		}
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -629,6 +633,15 @@ func TestValidationErrors(t *testing.T) {
 		// are a client error, caught before admission.
 		{"solve-oracle-jl", "/v1/solve", &Request{Program: prog, Eps: 0.2, Oracle: "jl"}, http.StatusBadRequest},
 		{"solve-oracle-exact", "/v1/solve", &Request{Program: prog, Eps: 0.2, Oracle: "exact"}, http.StatusBadRequest},
+		// A valid request followed by anything but whitespace is not
+		// that request, on every solve route.
+		{"trailing-decision", "/v1/decision", trailing(&Request{Instance: doc, Eps: 0.2}, " garbage"), http.StatusBadRequest},
+		{"trailing-maximize", "/v1/maximize", trailing(&Request{Instance: doc, Eps: 0.2}, " garbage"), http.StatusBadRequest},
+		{"trailing-solve", "/v1/solve", trailing(&Request{Program: prog, Eps: 0.2}, " garbage"), http.StatusBadRequest},
+		{"trailing-mixed", "/v1/mixed", trailing(&Request{Instance: mixedFromPack(t, doc), Eps: 0.2}, " garbage"), http.StatusBadRequest},
+		{"trailing-delta", "/v1/delta", trailing(&Request{Instance: &instio.Instance{Delta: &instio.Delta{Base: strings.Repeat("ab", 32)}}, Eps: 0.2}, " garbage"), http.StatusBadRequest},
+		{"trailing-batch", "/v1/batch", trailing(&BatchRequest{Requests: []Request{{Instance: doc, Eps: 0.2}}}, " garbage"), http.StatusBadRequest},
+		{"trailing-value", "/v1/decision", trailing(&Request{Instance: doc, Eps: 0.2}, " {}"), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -648,6 +661,15 @@ func TestValidationErrors(t *testing.T) {
 	if n := len(s.SlowSnapshot()); n != 0 {
 		t.Fatalf("rejections left %d /debugz/slow records, want 0", n)
 	}
+}
+
+// trailing marshals v and appends extra after the JSON value.
+func trailing(v any, extra string) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return append(b, extra...)
 }
 
 func TestHealthzAndStatsz(t *testing.T) {

@@ -294,6 +294,10 @@ type StatsResponse struct {
 	Solves       int64 `json:"solves"`
 	CacheHits    int64 `json:"cacheHits"`
 	CacheEntries int   `json:"cacheEntries"`
+	// BodyMemoHits counts solve requests answered through the body memo:
+	// a byte-identical repeat of an accepted body whose answer was still
+	// stored, served with no decode, build or digest.
+	BodyMemoHits int64 `json:"bodyMemoHits"`
 	DedupShared  int64 `json:"dedupShared"`
 	Rejected     int64 `json:"rejected"`
 	Cancelled    int64 `json:"cancelled"`
