@@ -13,8 +13,7 @@ import (
 // The workspace contract of this package: after the pools warm up in
 // iteration 1, a steady-state dense Decision iteration performs ZERO
 // heap allocations, and a factored-JL iteration performs at most a
-// small constant number (the fork closures of its row loops plus the
-// occasional Lanczos basis growth). These tests pin that down with
+// small constant number (the occasional Lanczos basis growth). These tests pin that down with
 // testing.AllocsPerRun, which runs at GOMAXPROCS=1 — exactly the
 // regime where every kernel takes its closure-free sequential path.
 
@@ -123,8 +122,8 @@ func TestFactoredJLDecisionStepConstAlloc(t *testing.T) {
 
 // factoredJLCallPerIterBudget bounds the amortized per-iteration
 // allocations of a FULL factored-JL Decision call on a warm workspace —
-// per-call setup included. The oracle scratch bundle (per-row Ψ-apply
-// closures, their column scratch, ExpMV vectors, RNG) round-trips
+// per-call setup included. The oracle scratch bundle (Ψ-apply
+// closures, their scratch, the lockstep ExpMV block, RNG) round-trips
 // through the workspace stash, so a warm call pays only a handful of
 // fixed allocations (the oracle structs, the stash key boxing, the
 // sketch wrapper, the result), and those amortize far below one per

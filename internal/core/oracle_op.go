@@ -25,57 +25,64 @@ import (
 // opScratch is the per-run reusable state both operator oracles share:
 // reseedable randomness (one PCG reseeded per use instead of a fresh
 // generator per iteration — the streams are bitwise identical), the
-// ratio vector, the Lanczos workspace, and the Ψ-apply closures — one
-// sequential closure for Lanczos plus one per exponential row for the
-// concurrent ExpMV loop, each owning its column scratch.
+// ratio vector, the Lanczos workspace, the two Ψ-apply closures — the
+// vector Ψ·v of Lanczos and the block (Ψ/2)·V of the exponential — and
+// the lockstep ExpMV block: the k chains of one ratios call (sketch
+// rows or basis vectors) stored interleaved, entry i of chain c at
+// i·k+c, so every Taylor term is one sparse-times-block product.
 //
 // The whole bundle round-trips through the workspace stash between
-// decision calls: building it costs O(rows) heap allocations (the
-// closures, their column scratch, and the three ExpMV vectors per row),
-// which used to recur on every Decision call and dominated the factored
-// path's allocation profile. The closures read the operator and the
-// current dual vector through a shared holder at call time, so a
-// restored bundle rebinds to the new oracle by overwriting two holder
-// fields — no closure is ever rebuilt.
+// decision calls, so the closures and buffers are built once per
+// workspace instead of once per Decision call. The closures read the
+// operator and the current dual vector through a shared holder at call
+// time, so a restored bundle rebinds to the new oracle by overwriting
+// two holder fields — no closure is ever rebuilt. The block buffers are
+// sized on first use and grow to the widest block they serve: the JL
+// and exact oracles of one decision run share a stash key and may swap
+// bundles between calls.
 type opScratch struct {
 	hold    *opHolder
 	pcg     *rand.PCG
 	rng     *rand.Rand
-	r       []float64   // ratio buffer returned by ratios
-	psiTmp  []float64   // Ψ·v column scratch of the Lanczos closure
-	rowTmps [][]float64 // Ψ·v column scratch per exponential row
+	r       []float64 // ratio buffer returned by ratios
+	psiTmp  []float64 // Ψ·v column scratch of the Lanczos closure
 	lws     eigen.LanczosWS
-	applyFn func(in, out []float64)   // Ψ·v (sequential, Lanczos)
-	halfFns []func(in, out []float64) // per-row (Ψ/2)·v closures
-	mv      []expm.MVScratch          // per-row ExpMV scratch
+	applyFn func(in, out []float64) // Ψ·v (Lanczos)
+	halfFn  func(in, out []float64) // (Ψ/2)·V over an interleaved block
+
+	in, out []float64 // m·k start vectors and results of the chains
+	logs    []float64 // k per-chain log-scales
+	mv      expm.MVScratch
 }
 
 // opHolder is the indirection the stashed closures read through: the
-// operator and a pointer to the owning oracle's dual vector. Stashing
-// nils both fields (so the instance is not retained across runs);
-// restoring points them at the new owner.
+// operator, a pointer to the owning oracle's dual vector, and the
+// block Ψ-apply scratch (k·PsiScratchLen() entries). Stashing nils the
+// first two (so the instance is not retained across runs); restoring
+// points them at the new owner.
 type opHolder struct {
-	set PsiOperator
-	xp  *[]float64
+	set      PsiOperator
+	xp       *[]float64
+	blockTmp []float64
 }
 
 // opStashKey identifies the shape of a stashed opScratch bundle. Two
-// bundles are interchangeable exactly when every buffer length matches:
-// n (ratio vector), dim (ExpMV vectors), scratch (Ψ-apply column
-// scratch), rows (closure count).
-type opStashKey struct{ n, dim, scratch, rows int }
+// bundles are interchangeable exactly when every fixed buffer length
+// matches: n (ratio vector), dim (Lanczos and ExpMV vectors), scratch
+// (Ψ-apply column scratch).
+type opStashKey struct{ n, dim, scratch int }
 
 func (sc *opScratch) ready() bool { return sc.pcg != nil }
 
-// init builds the scratch for rows concurrent exponential rows over
-// set, restoring a stashed bundle of the same shape when one is
-// available — the steady state for repeated decision calls on one
-// workspace — and building from scratch otherwise. The Lanczos basis is
-// prewarmed to the oracle's per-iteration refresh depth lanczosIter,
-// with rows pooled in ws, so steady-state λ_max refreshes never
-// allocate, however slowly they converge.
-func (sc *opScratch) init(set PsiOperator, ws *work.Workspace, rows, lanczosIter int, xp *[]float64) {
-	key := opStashKey{set.N(), set.Dim(), set.PsiScratchLen(), rows}
+// init builds the scratch over set, restoring a stashed bundle of the
+// same shape when one is available — the steady state for repeated
+// decision calls on one workspace — and building from scratch
+// otherwise. The Lanczos basis is prewarmed to the oracle's
+// per-iteration refresh depth lanczosIter, with rows pooled in ws, so
+// steady-state λ_max refreshes never allocate, however slowly they
+// converge.
+func (sc *opScratch) init(set PsiOperator, ws *work.Workspace, lanczosIter int, xp *[]float64) {
+	key := opStashKey{set.N(), set.Dim(), set.PsiScratchLen()}
 	if v, ok := ws.TakeStash(key); ok {
 		*sc = *v.(*opScratch)
 		sc.hold.set = set
@@ -92,19 +99,50 @@ func (sc *opScratch) init(set PsiOperator, ws *work.Workspace, rows, lanczosIter
 	sc.lws.Prewarm(ws, set.Dim(), lanczosIter)
 	tmp := sc.psiTmp
 	sc.applyFn = func(in, out []float64) { hold.set.ApplyPsiScratch(*hold.xp, in, out, tmp) }
-	sc.halfFns = make([]func(in, out []float64), rows)
-	sc.mv = make([]expm.MVScratch, rows)
-	sc.rowTmps = make([][]float64, rows)
-	for r := range sc.halfFns {
-		rowTmp := make([]float64, set.PsiScratchLen())
-		sc.rowTmps[r] = rowTmp
-		sc.halfFns[r] = func(in, out []float64) {
-			hold.set.ApplyPsiScratch(*hold.xp, in, out, rowTmp)
-			for i := range out {
-				out[i] *= 0.5
+	sc.halfFn = func(in, out []float64) {
+		k := len(in) / hold.set.Dim()
+		hold.set.ApplyPsiBlock(*hold.xp, in, out, hold.blockTmp, k)
+		for i := range out {
+			out[i] *= 0.5
+		}
+	}
+}
+
+// expHalf runs k lockstep ExpMV chains through exp(Ψ/2), one per row
+// of dst: chain c starts from row c of starts (nil: the standard basis
+// vector e_c), and row c of dst receives its result rescaled from the
+// chain's own log-scale to the common maximum, which expHalf returns.
+func (sc *opScratch) expHalf(dst, starts *matrix.Dense, normHalf, tol float64) float64 {
+	k, m := dst.R, dst.C
+	in := work.Resize(sc.in, m*k)
+	sc.in, sc.out, sc.logs = in, work.Resize(sc.out, m*k), work.Resize(sc.logs, k)
+	sc.hold.blockTmp = work.Resize(sc.hold.blockTmp, k*len(sc.psiTmp))
+	for i := 0; i < m; i++ {
+		for c := 0; c < k; c++ {
+			if starts != nil {
+				in[i*k+c] = starts.Data[c*m+i]
+			} else if i == c {
+				in[i*k+c] = 1
+			} else {
+				in[i*k+c] = 0
 			}
 		}
 	}
+	expm.ExpMVBlockInto(sc.out, sc.logs, sc.halfFn, in, normHalf, tol, &sc.mv)
+	maxLog := sc.logs[0]
+	for _, l := range sc.logs[1:] {
+		if l > maxLog {
+			maxLog = l
+		}
+	}
+	for c, l := range sc.logs {
+		f := math.Exp(l - maxLog)
+		row := dst.Data[c*m : (c+1)*m]
+		for i := range row {
+			row[i] = f * sc.out[i*k+c]
+		}
+	}
+	return maxLog
 }
 
 // jlLanczosIter and exactLanczosIter cap the Krylov depth of the
@@ -117,16 +155,16 @@ const (
 
 // release returns the Lanczos basis rows to ws and stashes the whole
 // bundle for the next same-shaped init; the scratch reverts to its
-// unbuilt state. The closures' column scratch stays inside the bundle —
-// it is captured by the closures, so handing it to the vector pool
-// would let an unrelated borrower alias it. Stashing nils the holder so
-// the operator instance is not retained across runs.
+// unbuilt state. The closures' scratch stays inside the bundle — it is
+// captured by the closures, so handing it to the vector pool would let
+// an unrelated borrower alias it. Stashing nils the holder so the
+// operator instance is not retained across runs.
 func (sc *opScratch) release(ws *work.Workspace) {
 	if sc.pcg == nil {
 		return
 	}
 	sc.lws.ReleaseBasis(ws)
-	key := opStashKey{len(sc.r), sc.hold.set.Dim(), len(sc.psiTmp), len(sc.halfFns)}
+	key := opStashKey{len(sc.r), sc.hold.set.Dim(), len(sc.psiTmp)}
 	sc.hold.set, sc.hold.xp = nil, nil
 	st := new(opScratch)
 	*st = *sc
@@ -149,10 +187,10 @@ func (sc *opScratch) release(ws *work.Workspace) {
 //
 // All iteration state is retained across calls: the sketch matrix is
 // refilled (not reallocated), the PCG is reseeded (not reconstructed),
-// and all scratch lives in opScratch. A steady-state ratios call
-// performs only a small constant number of allocations (the fork
-// closures of the row loops — none at GOMAXPROCS=1, where the serial
-// guards fire).
+// and all scratch lives in opScratch. The k chains run as one lockstep
+// block, never one fork per row, so a steady-state ratios call forks
+// only inside kernels whose work pays for it — and at GOMAXPROCS=1,
+// where the serial guards fire, allocates nothing.
 type opJLOracle struct {
 	set       PsiOperator
 	ws        *work.Workspace
@@ -171,10 +209,9 @@ type opJLOracle struct {
 	// oracle's time (SolveStats.ExpmNS).
 	ph *SolveStats
 
-	sc   opScratch
-	jl   *sketch.JL
-	s    *matrix.Dense // sketch rows through exp(Ψ/2)
-	logs []float64
+	sc opScratch
+	jl *sketch.JL
+	s  *matrix.Dense // sketch rows through exp(Ψ/2)
 }
 
 func newOpJLOracle(set PsiOperator, sketchEps float64, seed uint64, st *parallel.Stats, ws *work.Workspace) *opJLOracle {
@@ -199,9 +236,8 @@ func (o *opJLOracle) init(x []float64) error {
 	o.x = x
 	o.lambdaEst = 0
 	if !o.sc.ready() {
-		o.sc.init(o.set, o.ws, o.rows, jlLanczosIter, &o.x)
+		o.sc.init(o.set, o.ws, jlLanczosIter, &o.x)
 		o.s = o.ws.Mat(o.rows, o.set.Dim())
-		o.logs = o.ws.Vec(o.rows)
 	}
 	return nil
 }
@@ -262,31 +298,16 @@ func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
 	}
 	o.iter++
 
-	// Rows of S: sᵣ = exp(Ψ/2)·Πᵣ, each with its own log-scale. Grain 1:
-	// each row is a full ExpMV chain, expensive enough to fork per row;
-	// below the fork grain the plain loop computes the identical values
-	// without building a closure.
-	s := o.s
-	logs := o.logs
+	// Rows of S: sᵣ = exp(Ψ/2)·Πᵣ, the k chains in one lockstep block,
+	// brought from their own log-scales to the common maximum L.
 	if o.ph != nil {
 		mark = time.Now()
 	}
-	if parallel.SerialBlock(o.rows, 1) {
-		for r := 0; r < o.rows; r++ {
-			logs[r] = expm.ExpMVInto(s.Data[r*m:(r+1)*m], o.sc.halfFns[r], o.jl.RowVec(r), normHalf, o.tol, &o.sc.mv[r])
-		}
-	} else {
-		parallel.ForBlock(o.rows, 1, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				logs[r] = expm.ExpMVInto(s.Data[r*m:(r+1)*m], o.sc.halfFns[r], o.jl.RowVec(r), normHalf, o.tol, &o.sc.mv[r])
-			}
-		})
-	}
+	s := o.s
+	maxLog := o.sc.expHalf(s, o.jl.M, normHalf, o.tol)
 	if o.ph != nil {
 		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
 	}
-	// Rescale all rows to the common maximum log-scale L.
-	maxLog := rescaleRows(s, logs)
 
 	// trEst·e^{2L} ≈ Tr[exp(Ψ)] = ‖exp(Ψ/2)‖_F².
 	trEst := sumSquares(s.Data)
@@ -311,8 +332,8 @@ func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
 }
 
 // addRowsCost records the analytic cost of one operator-oracle call:
-// rows concurrent ExpMV chains (rows × one chain's work, one chain's
-// depth) followed by rows·q constraint dots through ExpDots.
+// rows ExpMV chains in one lockstep block (rows × one chain's work, one
+// chain's depth) followed by rows·q constraint dots through ExpDots.
 func addRowsCost(st *parallel.Stats, rows, nnz int, normHalf, tol float64, m int) {
 	if st == nil {
 		return
@@ -353,39 +374,6 @@ func sumSquaresSeg(a []float64, lo, hi int) float64 {
 	return s
 }
 
-// rescaleRows brings every row of s from its own log-scale logs[r] to
-// the common maximum log-scale, which it returns. Rows are rescaled in
-// parallel with the blocked vector kernel; below the fork grain a plain
-// loop computes the identical values without building a closure.
-func rescaleRows(s *matrix.Dense, logs []float64) float64 {
-	maxLog := logs[0]
-	for _, l := range logs[1:] {
-		if l > maxLog {
-			maxLog = l
-		}
-	}
-	if parallel.SerialBlock(s.R, 1) {
-		m := s.C
-		for r := 0; r < s.R; r++ {
-			row := s.Data[r*m : (r+1)*m]
-			matrix.VecScale(row, math.Exp(logs[r]-maxLog), row)
-		}
-		return maxLog
-	}
-	// The fork closure lives in a helper so its capture boxes are only
-	// allocated when the parallel branch actually runs.
-	rescaleRowsParallel(s, logs, maxLog)
-	return maxLog
-}
-
-func rescaleRowsParallel(s *matrix.Dense, logs []float64, maxLog float64) {
-	m := s.C
-	parallel.For(s.R, func(r int) {
-		row := s.Data[r*m : (r+1)*m]
-		matrix.VecScale(row, math.Exp(logs[r]-maxLog), row)
-	})
-}
-
 // lambdaMaxPsi runs a certificate-grade Lanczos (tight tolerance, many
 // iterations, full reorthogonalization).
 func (o *opJLOracle) lambdaMaxPsi() (float64, error) {
@@ -410,8 +398,7 @@ func (o *opJLOracle) release() {
 	}
 	o.sc.release(o.ws)
 	o.ws.PutMat(o.s)
-	o.ws.PutVec(o.logs)
-	o.s, o.logs = nil, nil
+	o.s = nil
 	if o.jl != nil {
 		o.ws.PutMat(o.jl.M)
 		o.jl = nil
@@ -424,9 +411,9 @@ func (o *opJLOracle) release() {
 // ‖exp(Ψ/2)‖_F². Deterministic but O((q + m²)·κ) per iteration — the
 // cross-validation oracle for the JL path on small instances, and the
 // fully deterministic production path for sparse sets. It shares the JL
-// oracle's buffer discipline through the same opScratch; at
-// GOMAXPROCS=1 a steady-state iteration performs zero heap allocations
-// (the serial guards skip every fork closure).
+// oracle's buffer discipline and lockstep block through the same
+// opScratch; at GOMAXPROCS=1 a steady-state iteration performs zero
+// heap allocations (the serial guards skip every fork closure).
 type opExactOracle struct {
 	set       PsiOperator
 	ws        *work.Workspace
@@ -438,10 +425,8 @@ type opExactOracle struct {
 	// oracle's time (SolveStats.ExpmNS).
 	ph *SolveStats
 
-	sc     opScratch
-	cols   *matrix.Dense
-	logs   []float64
-	basisV []float64
+	sc   opScratch
+	cols *matrix.Dense
 }
 
 func newOpExactOracle(set PsiOperator, seed uint64, st *parallel.Stats, ws *work.Workspace) *opExactOracle {
@@ -455,10 +440,8 @@ func (o *opExactOracle) init(x []float64) error {
 	o.x = x
 	if !o.sc.ready() {
 		m := o.set.Dim()
-		o.sc.init(o.set, o.ws, m, exactLanczosIter, &o.x)
+		o.sc.init(o.set, o.ws, exactLanczosIter, &o.x)
 		o.cols = o.ws.Mat(m, m)
-		o.logs = o.ws.Vec(m)
-		o.basisV = o.ws.Vec(m * m)
 	}
 	return nil
 }
@@ -489,34 +472,17 @@ func (o *opExactOracle) ratios() ([]float64, oracleInfo, error) {
 	m := o.set.Dim()
 	normHalf := 0.55*o.lambdaEst + 0.5
 
-	// Exponentiate the identity column by column: column j of exp(Ψ/2).
-	// Shared log-scale normalization as in the JL oracle. Row r of cols
-	// is exp(Ψ/2)·e_r (symmetric, so rows = cols); the basis vectors are
-	// one held m×m buffer written once per call.
+	// Exponentiate the identity, all m basis vectors in one lockstep
+	// block: row r of cols is exp(Ψ/2)·e_r (symmetric, so rows = cols),
+	// at the shared log-scale as in the JL oracle.
 	cols := o.cols
-	logs := o.logs
 	if o.ph != nil {
 		mark = time.Now()
 	}
-	if parallel.SerialBlock(m, 1) {
-		for r := 0; r < m; r++ {
-			e := o.basisV[r*m : (r+1)*m]
-			matrix.BasisInto(e, r)
-			logs[r] = expm.ExpMVInto(cols.Data[r*m:(r+1)*m], o.sc.halfFns[r], e, normHalf, 1e-12, &o.sc.mv[r])
-		}
-	} else {
-		parallel.ForBlock(m, 1, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				e := o.basisV[r*m : (r+1)*m]
-				matrix.BasisInto(e, r)
-				logs[r] = expm.ExpMVInto(cols.Data[r*m:(r+1)*m], o.sc.halfFns[r], e, normHalf, 1e-12, &o.sc.mv[r])
-			}
-		})
-	}
+	maxLog := o.sc.expHalf(cols, nil, normHalf, 1e-12)
 	if o.ph != nil {
 		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
 	}
-	maxLog := rescaleRows(cols, logs)
 	trEst := sumSquares(cols.Data)
 	if trEst <= 0 || math.IsNaN(trEst) {
 		return nil, oracleInfo{}, fmt.Errorf("core: exact operator oracle: degenerate trace %v", trEst)
@@ -548,7 +514,5 @@ func (o *opExactOracle) release() {
 	}
 	o.sc.release(o.ws)
 	o.ws.PutMat(o.cols)
-	o.ws.PutVec(o.logs)
-	o.ws.PutVec(o.basisV)
-	o.cols, o.logs, o.basisV = nil, nil, nil
+	o.cols = nil
 }

@@ -71,6 +71,13 @@ type PsiOperator interface {
 	// PsiScratchLen(): the zero-allocation Ψ·v the ExpMV and Lanczos
 	// closures are built on.
 	ApplyPsiScratch(x, in, out, tmp []float64)
+	// ApplyPsiBlock is ApplyPsiScratch over a block of k vectors stored
+	// interleaved (entry i of vector c at in[i·k+c], likewise out), with
+	// scratch tmp of length k·PsiScratchLen(): the one product per
+	// Taylor term that advances the oracles' k ExpMV chains in
+	// lockstep. Each vector's result must be bitwise what
+	// ApplyPsiScratch returns for it alone.
+	ApplyPsiBlock(x, in, out, tmp []float64, k int)
 	// ExpDots writes r[i] = Scale()·Σ_rows s_rᵀ·Aᵢ·s_r for the dense
 	// row-block matrix s — the unnormalized bigDotExp numerators
 	// Aᵢ • SᵀS (S = rows of s through exp(Ψ/2)). Each r[i] must be a
@@ -311,17 +318,38 @@ func (s *FactoredSet) ApplyPsiScratch(x, in, out, tmp []float64) {
 	s.applyPsiTmp(x, in, out, tmp)
 }
 
+// ApplyPsiBlock implements PsiOperator: the block forms of the two
+// sparse passes of applyPsiTmp, Qᵀ·in into tmp (C·k entries) and then
+// Q·tmp, so each flat column is read once per pass for all k vectors.
+func (s *FactoredSet) ApplyPsiBlock(x, in, out, tmp []float64, k int) {
+	tmp = tmp[:s.flat.C*k]
+	s.flat.TMulBlockInto(tmp, in, k)
+	for c, con := range s.col2con {
+		f := s.scale * x[con]
+		tc := tmp[c*k : (c+1)*k]
+		for j := range tc {
+			tc[j] *= f
+		}
+	}
+	for j := range out {
+		out[j] = 0
+	}
+	s.flat.MulBlockAdd(out, 1, tmp, k)
+}
+
 // ExpDots implements PsiOperator: with Aᵢ = QᵢQᵢᵀ,
 // Σ_rows s_rᵀ·Aᵢ·s_r = ‖S·Qᵢ‖_F², each constraint one O(k·nnz(Qᵢ))
-// sketch dot (Theorem 4.1's per-constraint cost).
+// sketch dot (Theorem 4.1's per-constraint cost). The sweep forks only
+// at sparse.FormGrain.
 func (s *FactoredSet) ExpDots(r []float64, sk *matrix.Dense) {
-	if parallel.SerialBlock(len(s.Q), 1) {
+	grain := sparse.FormGrain(len(s.Q), s.nnz, sk.R)
+	if parallel.SerialBlock(len(s.Q), grain) {
 		for i := range s.Q {
 			r[i] = s.scale * s.Q[i].SketchDot(sk)
 		}
 		return
 	}
-	parallel.ForBlock(len(s.Q), 1, func(lo, hi int) {
+	parallel.ForBlock(len(s.Q), grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r[i] = s.scale * s.Q[i].SketchDot(sk)
 		}

@@ -104,18 +104,28 @@ func (s *SparseSet) ApplyPsiScratch(x, in, out, tmp []float64) {
 	s.stack.AccumulateScaled(out, tmp, in)
 }
 
+// ApplyPsiBlock implements PsiOperator: the scaled coefficients land in
+// tmp[:n] and one stacked O(q) pass accumulates Ψ·v for all k
+// interleaved vectors.
+func (s *SparseSet) ApplyPsiBlock(x, in, out, tmp []float64, k int) {
+	tmp = tmp[:len(s.A)]
+	matrix.VecScale(tmp, s.scale, x)
+	s.stack.AccumulateScaledBlock(out, tmp, in, k)
+}
+
 // ExpDots implements PsiOperator: r[i] = scale·Σ_rows s_rᵀ·Aᵢ·s_r, the
 // batched per-constraint quadratic forms — O(k·nnz(Aᵢ)) each, exactly
 // the sparsity-proportional cost the width-independent analysis
-// charges.
+// charges. The sweep forks only at sparse.FormGrain.
 func (s *SparseSet) ExpDots(r []float64, sk *matrix.Dense) {
-	if parallel.SerialBlock(len(s.A), 1) {
+	grain := sparse.FormGrain(len(s.A), s.nnz, sk.R)
+	if parallel.SerialBlock(len(s.A), grain) {
 		for i := range s.A {
 			r[i] = s.scale * s.A[i].QuadRows(sk)
 		}
 		return
 	}
-	parallel.ForBlock(len(s.A), 1, func(lo, hi int) {
+	parallel.ForBlock(len(s.A), grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r[i] = s.scale * s.A[i].QuadRows(sk)
 		}

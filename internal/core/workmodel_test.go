@@ -9,9 +9,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// One operator-oracle call runs its rows' ExpMV chains concurrently, so
-// the analytic cost model must charge rows × one chain's work but only
-// one chain's depth, plus the rows·q constraint dots of ExpDots. Both
+// One operator-oracle call advances its rows' ExpMV chains side by side
+// in one lockstep block, so the analytic cost model must charge rows ×
+// one chain's work but only one chain's depth, plus the rows·q constraint dots of ExpDots. Both
 // oracles are pinned to that formula: the JL oracle over its sketch
 // rows, the exact oracle over all m basis columns.
 func TestOperatorOracleWorkModel(t *testing.T) {

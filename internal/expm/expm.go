@@ -14,8 +14,10 @@
 //     sandwich (1−ε)exp(B) ≼ B̂ ≼ exp(B).
 //   - ExpMV: applies exp(A) to a vector using segmented Taylor
 //     evaluation with running log-scale normalization, the workhorse of
-//     the factored bigDotExp path (Theorem 4.1). Cost: O(‖A‖·log(1/tol))
-//     operator applications, each O(nnz) work.
+//     the operator oracles' bigDotExp path (Theorem 4.1). Cost:
+//     O(‖A‖·log(1/tol)) operator applications, each O(nnz) work.
+//     ExpMVBlockInto advances k such chains against one operator in
+//     lockstep, one block application per Taylor term.
 package expm
 
 import (
@@ -165,41 +167,69 @@ func ExpMV(apply func(in, out []float64), v []float64, normUB, tol float64) (w [
 	return dst, logScale
 }
 
-// MVScratch is the reusable scratch of one ExpMV evaluation (three
-// vectors: the running Taylor term, its successor, and the segment
-// accumulator). The factored oracles keep one per sketch row so the
-// concurrent per-row exponentials never share or allocate scratch.
+// MVScratch is the reusable scratch of one ExpMV evaluation: three
+// blocks (the running Taylor terms, their successors, and the segment
+// accumulators) plus the per-chain squared norms and liveness masks of
+// the lockstep form. The operator oracles keep one for the whole block
+// of chains, so their per-iteration exponentials never allocate.
 type MVScratch struct {
 	term, next, sum []float64
+	termSq, sumSq   []float64
+	termBlk, sumBlk []float64 // per-block partials of the two above
+	live, active    []bool
 }
 
-// ensure sizes the scratch for dimension m.
-func (s *MVScratch) ensure(m int) {
-	if len(s.term) != m {
-		s.term = make([]float64, m)
-		s.next = make([]float64, m)
-		s.sum = make([]float64, m)
-	}
+// ensure sizes the scratch for n block entries over k chains, reusing
+// capacity so a scratch shared by blocks of different widths stops
+// allocating once it has seen the widest.
+func (s *MVScratch) ensure(n, k int) {
+	s.term, s.next, s.sum = work.Resize(s.term, n), work.Resize(s.next, n), work.Resize(s.sum, n)
+	s.termSq, s.sumSq = work.Resize(s.termSq, k), work.Resize(s.sumSq, k)
+	s.termBlk, s.sumBlk = work.Resize(s.termBlk, k), work.Resize(s.sumBlk, k)
+	s.live, s.active = work.Resize(s.live, k), work.Resize(s.active, k)
 }
 
 // ExpMVInto is ExpMV writing the result vector into dst (which must
 // have the length of v and may not alias it) and drawing scratch from
-// sc; a nil sc allocates fresh scratch. It returns the log-scale.
+// sc; a nil sc allocates fresh scratch. It returns the log-scale. It is
+// the one-chain case of ExpMVBlockInto.
 func ExpMVInto(dst []float64, apply func(in, out []float64), v []float64, normUB, tol float64, sc *MVScratch) (logScale float64) {
+	var logs [1]float64
+	ExpMVBlockInto(dst, logs[:], apply, v, normUB, tol, sc)
+	return logs[0]
+}
+
+// ExpMVBlockInto advances k = len(logs) ExpMV chains against the same
+// operator in lockstep: v holds the k start vectors interleaved (entry
+// i of chain c at v[i·k+c]), apply maps such a block to its image in
+// one call, and chain c's result lands in dst with the same layout and
+// its log-scale in logs[c]. dst may not alias v; a nil sc allocates
+// fresh scratch.
+//
+// Every chain keeps its own truncation test, normalization and
+// log-scale, and shares the segmentation set by normUB, so each result
+// is bit-for-bit that of the one-chain loop on the chain alone (scale
+// the new term, add it to the sum, compare the two 2-norms): per-chain
+// norms replay VecNorm2's block tree, a chain whose series has
+// converged stops accumulating (its terms are still carried through
+// apply, then discarded), and a chain that starts or becomes exactly
+// zero keeps its current value from then on. After each apply one pass
+// over the block does the scaling, the sums and both norms.
+func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []float64, normUB, tol float64, sc *MVScratch) {
 	if tol <= 0 {
 		tol = 1e-12
 	}
 	if normUB < 0 {
 		normUB = 0
 	}
-	m := len(v)
-	if len(dst) != m {
-		panic("expm: ExpMVInto length mismatch")
+	k, n := len(logs), len(v)
+	if k == 0 || n%k != 0 || len(dst) != n {
+		panic("expm: ExpMVBlockInto length mismatch")
 	}
 	if sc == nil {
 		sc = &MVScratch{}
 	}
-	sc.ensure(m)
+	sc.ensure(n, k)
 	segments := int(math.Ceil(normUB / expMVSegNorm))
 	if segments < 1 {
 		segments = 1
@@ -208,14 +238,17 @@ func ExpMVInto(dst []float64, apply func(in, out []float64), v []float64, normUB
 
 	cur := dst
 	copy(cur, v)
-	logScale = 0
-	if n := matrix.Normalize(cur); n > 0 {
-		logScale = math.Log(n)
-	} else {
-		return 0 // exp(A)·0 = 0
+	live := sc.live
+	for c := range logs {
+		logs[c] = 0
+		live[c] = true
+	}
+	if !sc.normalize(cur, logs) {
+		return // exp(A)·0 = 0 for every chain
 	}
 
 	term, next, sum := sc.term, sc.next, sc.sum
+	active := sc.active
 	// Terms needed per segment: the series for e^θ with θ=8 needs ~35
 	// terms to reach 1e-16 relative; cap generously.
 	maxTerms := 64
@@ -223,26 +256,126 @@ func ExpMVInto(dst []float64, apply func(in, out []float64), v []float64, normUB
 	for seg := 0; seg < segments; seg++ {
 		copy(sum, cur)
 		copy(term, cur)
+		copy(active, live)
+		nActive := 0
+		for _, a := range active {
+			if a {
+				nActive++
+			}
+		}
 		for j := 1; j <= maxTerms; j++ {
 			apply(term, next)
-			f := invS / float64(j)
-			for i := range next {
-				next[i] *= f
-			}
 			term, next = next, term
-			matrix.VecAXPY(sum, 1, term)
-			if matrix.VecNorm2(term) <= tol*matrix.VecNorm2(sum) {
+			sc.addTerm(sum, term, invS/float64(j))
+			for c, a := range active {
+				if a && math.Sqrt(sc.termSq[c]) <= tol*math.Sqrt(sc.sumSq[c]) {
+					active[c] = false
+					nActive--
+				}
+			}
+			if nActive == 0 {
 				break
 			}
 		}
-		copy(cur, sum)
-		if n := matrix.Normalize(cur); n > 0 {
-			logScale += math.Log(n)
-		} else {
-			return logScale
+		for i := 0; i < n; i += k {
+			for c, l := range live {
+				if l {
+					cur[i+c] = sum[i+c]
+				}
+			}
+		}
+		if !sc.normalize(cur, logs) {
+			return
 		}
 	}
-	return logScale
+}
+
+// normalize scales every live chain of the block x to unit 2-norm and
+// adds the log of its norm to logs, exactly as matrix.Normalize would
+// on the chain alone. A chain whose norm is not positive (exactly zero,
+// or NaN) stops being live, which is where the one-chain loop would
+// return. It reports whether any chain is still live.
+func (sc *MVScratch) normalize(x, logs []float64) bool {
+	k := len(logs)
+	chainSumSq(sc.sumSq, sc.sumBlk, x, k)
+	anyLive := false
+	for c, l := range sc.live {
+		if !l {
+			continue
+		}
+		nrm := math.Sqrt(sc.sumSq[c])
+		if nrm != 0 {
+			inv := 1 / nrm
+			for i := c; i < len(x); i += k {
+				x[i] = inv * x[i]
+			}
+		}
+		if !(nrm > 0) {
+			sc.live[c] = false
+			continue
+		}
+		anyLive = true
+		logs[c] += math.Log(nrm)
+	}
+	return anyLive
+}
+
+// addTerm scales the new Taylor terms of every chain by f, adds them
+// into the sums of the active chains, and leaves each chain's squared
+// 2-norms of term and sum in termSq and sumSq. Each squared norm is
+// summed over the block tree VecDot uses for a vector of the chain's
+// length, so its square root is bitwise the chain's VecNorm2.
+func (sc *MVScratch) addTerm(sum, term []float64, f float64) {
+	k := len(sc.termSq)
+	m := len(term) / k
+	blocks := parallel.BlockCount(m, 4096)
+	tsq, ssq, tb, sb := sc.termSq, sc.sumSq, sc.termBlk, sc.sumBlk
+	clear(tsq)
+	clear(ssq)
+	for b := 0; b < blocks; b++ {
+		clear(tb)
+		clear(sb)
+		for i := b * m / blocks * k; i < (b+1)*m/blocks*k; i += k {
+			ti, si := term[i:i+k], sum[i:i+k]
+			for c, a := range sc.active[:k] {
+				// The conversion rounds the scaled term before the sum
+				// takes it, as the separate passes did: no fused
+				// multiply-add on the way into si.
+				t := float64(ti[c] * f)
+				ti[c] = t
+				if a {
+					si[c] += t
+				}
+				tb[c] += t * t
+				sb[c] += si[c] * si[c]
+			}
+		}
+		for c := range tsq {
+			tsq[c] += tb[c]
+			ssq[c] += sb[c]
+		}
+	}
+}
+
+// chainSumSq writes out[c] = Σᵢ x[i·k+c]², each chain's sum taken over
+// the block tree VecDot uses for a vector of the chain's length (block
+// partials in part), so math.Sqrt(out[c]) is bitwise the VecNorm2 of
+// chain c on its own.
+func chainSumSq(out, part, x []float64, k int) {
+	m := len(x) / k
+	blocks := parallel.BlockCount(m, 4096)
+	clear(out)
+	for b := 0; b < blocks; b++ {
+		clear(part)
+		for i := b * m / blocks * k; i < (b+1)*m/blocks*k; i += k {
+			for c, v := range x[i : i+k] {
+				part[c] += v * v
+			}
+		}
+		for c, p := range part {
+			out[c] += p
+		}
+	}
 }
 
 // ExpMVCost estimates the analytic work and depth of one ExpMV call

@@ -72,7 +72,7 @@ func FromRows(rows [][]float64) *Dense {
 func OuterProduct(s float64, v []float64) *Dense {
 	n := len(v)
 	m := New(n, n)
-	parallel.ForBlock(n, rowGrain(n), func(lo, hi int) {
+	parallel.ForBlock(n, parallel.WorkGrain(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			si := s * v[i]
 			row := m.Data[i*n : (i+1)*n]
@@ -127,7 +127,7 @@ func (m *Dense) Zero() {
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	out := New(m.C, m.R)
-	parallel.ForBlock(m.R, rowGrain(m.C), func(lo, hi int) {
+	parallel.ForBlock(m.R, parallel.WorkGrain(m.C), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.Data[i*m.C : (i+1)*m.C]
 			for j, v := range row {
@@ -162,7 +162,7 @@ func (m *Dense) Symmetrize() {
 		panic("matrix: Symmetrize of non-square matrix")
 	}
 	n := m.R
-	parallel.ForBlock(n, rowGrain(n/2+1), func(lo, hi int) {
+	parallel.ForBlock(n, parallel.WorkGrain(n/2+1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := i + 1; j < n; j++ {
 				v := (m.Data[i*n+j] + m.Data[j*n+i]) / 2

@@ -42,7 +42,7 @@ func SymMulABInto(out, a, b *Dense, st *parallel.Stats) {
 		panic(dimErr("SymMulABInto", out, a))
 	}
 	n := a.R
-	grain := rowGrain(n*n/2 + 1)
+	grain := parallel.WorkGrain(n*n/2 + 1)
 	if parallel.SerialBlock(n, grain) {
 		symMulRows(a.Data, b.Data, out.Data, n, 0, n)
 	} else {
@@ -95,7 +95,7 @@ func GramInto(out, q *Dense, st *parallel.Stats) {
 	if out.R != n || out.C != n {
 		panic(dimErr("GramInto", out, q))
 	}
-	grain := rowGrain(n*k/2 + 1)
+	grain := parallel.WorkGrain(n*k/2 + 1)
 	if parallel.SerialBlock(n, grain) {
 		gramRows(q.Data, out.Data, n, k, 0, n)
 	} else {
@@ -162,7 +162,7 @@ func CongruenceDiagInto(out, v *Dense, d []float64, st *parallel.Stats) {
 	if out.R != n || out.C != n {
 		panic(dimErr("CongruenceDiagInto", out, v))
 	}
-	grain := rowGrain(n*k/2 + 1)
+	grain := parallel.WorkGrain(n*k/2 + 1)
 	if parallel.SerialBlock(n, grain) {
 		congruenceRows(v.Data, d, out.Data, n, k, 0, n)
 	} else {
@@ -226,7 +226,7 @@ func DotMany(out []float64, as []*Dense, scale float64, p *Dense) {
 			panic(dimErr("DotMany", a, p))
 		}
 	}
-	grain := rowGrain(sz)
+	grain := parallel.WorkGrain(sz)
 	if parallel.SerialBlock(len(as), grain) {
 		dotManyRows(out, as, scale, p, 0, len(as))
 		return
@@ -292,7 +292,7 @@ func linCombSeg(dst *Dense, coeffs []float64, mats []*Dense, lo, hi int) {
 // onto the strictly lower triangle, in parallel over rows.
 func mirrorUpper(m *Dense) {
 	n := m.R
-	grain := rowGrain(n/2 + 1)
+	grain := parallel.WorkGrain(n/2 + 1)
 	if parallel.SerialBlock(n, grain) {
 		mirrorRows(m.Data, n, 0, n)
 		return

@@ -135,7 +135,7 @@ func MulABInto(out, a, b *Dense, st *parallel.Stats) {
 	// inside closures optimize measurably worse (bounds-check and
 	// register allocation quality), and this kernel is the hottest in
 	// the dense path.
-	grain := rowGrain(k * c)
+	grain := parallel.WorkGrain(k * c)
 	if parallel.SerialBlock(a.R, grain) {
 		mulRowsAB(ad, bd, od, k, c, 0, a.R)
 	} else {
@@ -169,7 +169,7 @@ func MulABT(a, b *Dense, st *parallel.Stats) *Dense {
 	}
 	out := New(a.R, b.R)
 	k := a.C
-	grain := rowGrain(k * b.R)
+	grain := parallel.WorkGrain(k * b.R)
 	if parallel.SerialBlock(a.R, grain) {
 		mulRowsABT(a.Data, b.Data, out.Data, k, b.R, 0, a.R)
 	} else {
@@ -203,7 +203,7 @@ func MulATB(a, b *Dense, st *parallel.Stats) *Dense {
 	out := New(a.C, b.C)
 	// Accumulate rank-1 updates row by row of a and b; parallelize over
 	// output rows by transposing the loop structure: out[i][j] = Σ_l a[l][i] b[l][j].
-	grain := rowGrain(a.R * b.C)
+	grain := parallel.WorkGrain(a.R * b.C)
 	if parallel.SerialBlock(a.C, grain) {
 		mulRowsATB(a, b, out, 0, a.C)
 	} else {
@@ -246,7 +246,7 @@ func (m *Dense) MulVecTo(dst, v []float64) {
 	if m.C != len(v) || m.R != len(dst) {
 		panic("matrix: MulVecTo dimension mismatch")
 	}
-	grain := rowGrain(m.C)
+	grain := parallel.WorkGrain(m.C)
 	if parallel.SerialBlock(m.R, grain) {
 		mulVecRows(m.Data, dst, v, m.C, 0, m.R)
 		return
@@ -291,18 +291,4 @@ func quadFormSeg(m *Dense, v []float64, lo, hi int) float64 {
 		s += v[i] * ri
 	}
 	return s
-}
-
-// rowGrain picks a per-row parallel grain so that each forked block does
-// at least ~minGrain scalar operations; flopsPerRow is the approximate
-// scalar work per row.
-func rowGrain(flopsPerRow int) int {
-	if flopsPerRow <= 0 {
-		flopsPerRow = 1
-	}
-	g := 4096 / flopsPerRow
-	if g < 1 {
-		g = 1
-	}
-	return g
 }

@@ -54,6 +54,18 @@ func OneBlock(n, grain int) bool {
 	return n <= grain
 }
 
+// WorkGrain returns the loop grain at which each forked block does at
+// least ~4096 scalar operations, given the approximate work of one
+// item: the row grain of the dense matrix kernels, and the gate of any
+// per-item loop whose items are cheap enough that forking one goroutine
+// per item would cost more than the item.
+func WorkGrain(flopsPerItem int) int {
+	if flopsPerItem <= 0 {
+		flopsPerItem = 1
+	}
+	return max(4096/flopsPerItem, 1)
+}
+
 // For runs body(i) for every i in [0, n), potentially in parallel.
 // body must be safe to call concurrently for distinct i.
 func For(n int, body func(i int)) {

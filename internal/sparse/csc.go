@@ -205,6 +205,111 @@ func (m *CSC) MulVecAdd(dst []float64, s float64, u []float64) {
 	}
 }
 
+// TMulBlockInto is TMulVecInto over a block of k vectors stored
+// interleaved (entry i of vector c at v[i·k+c]): out[j·k+c] is column j
+// dotted with vector c, summed in the same ascending entry order as
+// TMulVecInto, so every vector's result is bitwise the vector form's.
+// One pass reads each stored entry once for all k vectors.
+func (m *CSC) TMulBlockInto(out, v []float64, k int) {
+	if k <= 0 || len(v) != m.R*k || len(out) != m.C*k {
+		panic("sparse: CSC.TMulBlockInto dimension mismatch")
+	}
+	grain := 4096/((len(m.Val)/max(m.C, 1)+1)*k) + 1
+	if parallel.SerialBlock(m.C, grain) {
+		tMulBlockCols(m, out, v, k, 0, m.C)
+		return
+	}
+	parallel.ForBlock(m.C, grain, func(lo, hi int) {
+		tMulBlockCols(m, out, v, k, lo, hi)
+	})
+}
+
+// tMulBlockCols computes columns [lo, hi) of TMulBlockInto, the
+// vectors eight, then four, at a time with their sums in registers,
+// then one at a time; each sum is a single accumulator over the
+// column's entries in ascending order, as in tMulVecCols.
+func tMulBlockCols(m *CSC, out, v []float64, k, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		o := out[j*k : (j+1)*k]
+		rows, val := m.Row[m.ColPtr[j]:m.ColPtr[j+1]], m.Val[m.ColPtr[j]:m.ColPtr[j+1]]
+		val = val[:len(rows)]
+		c := 0
+		for ; c+8 <= k; c += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for p, r := range rows {
+				a, vr := val[p], v[r*k+c:r*k+c+8]
+				s0 += a * vr[0]
+				s1 += a * vr[1]
+				s2 += a * vr[2]
+				s3 += a * vr[3]
+				s4 += a * vr[4]
+				s5 += a * vr[5]
+				s6 += a * vr[6]
+				s7 += a * vr[7]
+			}
+			o[c], o[c+1], o[c+2], o[c+3] = s0, s1, s2, s3
+			o[c+4], o[c+5], o[c+6], o[c+7] = s4, s5, s6, s7
+		}
+		for ; c+4 <= k; c += 4 {
+			var s0, s1, s2, s3 float64
+			for p, r := range rows {
+				a, vr := val[p], v[r*k+c:r*k+c+4]
+				s0 += a * vr[0]
+				s1 += a * vr[1]
+				s2 += a * vr[2]
+				s3 += a * vr[3]
+			}
+			o[c], o[c+1], o[c+2], o[c+3] = s0, s1, s2, s3
+		}
+		for ; c < k; c++ {
+			var s float64
+			for p, r := range rows {
+				s += val[p] * v[r*k+c]
+			}
+			o[c] = s
+		}
+	}
+}
+
+// MulBlockAdd is MulVecAdd over a block of k coefficient vectors stored
+// interleaved: dst[i·k+c] += s·(Q·u_c)[i]. Each (column, vector) pair
+// with s·u == 0 is skipped as in the vector form, and every dst entry
+// takes its additions in the same column-then-entry order, so each
+// vector's result is bitwise the vector form's. Within a column, groups
+// of four vectors with no zero coefficient scatter together.
+func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
+	if k <= 0 || len(u) != m.C*k || len(dst) != m.R*k {
+		panic("sparse: CSC.MulBlockAdd dimension mismatch")
+	}
+	for j := 0; j < m.C; j++ {
+		uj := u[j*k : (j+1)*k]
+		rows, val := m.Row[m.ColPtr[j]:m.ColPtr[j+1]], m.Val[m.ColPtr[j]:m.ColPtr[j+1]]
+		val = val[:len(rows)]
+		for c := 0; c < k; {
+			if c+4 <= k {
+				su0, su1, su2, su3 := s*uj[c], s*uj[c+1], s*uj[c+2], s*uj[c+3]
+				if su0 != 0 && su1 != 0 && su2 != 0 && su3 != 0 {
+					for p, r := range rows {
+						a, d := val[p], dst[r*k+c:r*k+c+4]
+						d[0] += a * su0
+						d[1] += a * su1
+						d[2] += a * su2
+						d[3] += a * su3
+					}
+					c += 4
+					continue
+				}
+			}
+			if su := s * uj[c]; su != 0 {
+				for p, r := range rows {
+					dst[r*k+c] += val[p] * su
+				}
+			}
+			c++
+		}
+	}
+}
+
 // GramDense returns the dense m-by-m matrix Q·Qᵀ. Used to materialize
 // factored constraints on the dense/reference path.
 func (m *CSC) GramDense() *matrix.Dense {

@@ -18,8 +18,8 @@
 // zeroed; every consumer in this repository fully overwrites its
 // scratch before reading it. Concurrent kernels must draw their
 // per-worker scratch up front from the owning goroutine and hold it for
-// the run, which is what the oracles do for their per-sketch-row
-// buffers.
+// the run, which is what the oracles do for their lockstep ExpMV
+// block.
 //
 // All methods are nil-receiver safe: a nil *Workspace degrades to plain
 // allocation (Get) and dropping (Put), so workspace-threaded code paths
@@ -128,6 +128,17 @@ func (ws *Workspace) Mat(r, c int) *matrix.Dense {
 		ws.misses++
 	}
 	return matrix.New(r, c)
+}
+
+// Resize returns b resliced to n entries, allocating only when its
+// capacity falls short, so a buffer that serves several sizes stops
+// allocating once it has seen the largest. Like pooled buffers, the
+// entries are not zeroed.
+func Resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // Stash stores an opaque reusable bundle under key (any comparable
