@@ -2,7 +2,6 @@ package eigen
 
 import (
 	"errors"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/matrix"
@@ -38,6 +37,7 @@ type LanczosWS struct {
 	betas  []float64
 	coeffs []float64
 	td, te []float64 // tridiagonal eigenvalue scratch
+	rt     ritzTracker
 }
 
 // ensure sizes the workspace for a run of at most maxIter iterations in
@@ -111,6 +111,11 @@ func (ws *LanczosWS) row(j, dim int) []float64 {
 // converges rapidly (error decays exponentially in the iteration count
 // for separated spectra). The caller should treat it as an estimate
 // with relative accuracy around Tol.
+//
+// The exit test after each step is decided on a certified bracket of
+// the top Ritz value (see ritz.go); tqli runs on the steps the bracket
+// cannot settle and on the step that exits, so the result is bit for
+// bit that of running tqli after every step.
 func LanczosMax(apply func(in, out []float64), dim int, opts LanczosOpts) (float64, error) {
 	if dim <= 0 {
 		return 0, errors.New("eigen: LanczosMax: dimension must be positive")
@@ -154,7 +159,6 @@ func LanczosMax(apply func(in, out []float64), dim int, opts LanczosOpts) (float
 	alphas := ws.alphas[:0]
 	betas := ws.betas[:0]
 	w := ws.w
-	prev := math.Inf(-1)
 
 	for j := 0; j < maxIter; j++ {
 		bj := ws.row(j, dim)
@@ -171,23 +175,21 @@ func LanczosMax(apply func(in, out []float64), dim int, opts LanczosOpts) (float
 		reorthogonalize(w, basis, ws.coeffs[:j+1])
 		reorthogonalize(w, basis, ws.coeffs[:j+1])
 		beta := matrix.VecNorm2(w)
-		lam, err := topRitz(alphas, betas, ws)
+		// Exit on an invariant subspace (beta ≤ 1e-14·max(1, |lam|):
+		// the Ritz values are exact) or once the top Ritz value lam
+		// moves by at most tol·max(1, |lam|); ritzStep decides both
+		// without a QL run on the steps that go on.
+		lam, done, err := ws.ritzStep(alphas, betas, beta, tol, j)
 		if err != nil {
 			return 0, err
 		}
-		scale := math.Max(1, math.Abs(lam))
-		if beta <= 1e-14*scale {
-			// Invariant subspace found: Ritz values are exact.
+		if done {
 			return lam, nil
 		}
-		if j >= 2 && math.Abs(lam-prev) <= tol*scale {
-			return lam, nil
-		}
-		prev = lam
 		betas = append(betas, beta)
 		matrix.VecScale(v, 1/beta, w)
 	}
-	return prev, nil
+	return ws.ritzLast(alphas, betas)
 }
 
 // reorthogonalize removes the components of w along every basis vector
