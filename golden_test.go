@@ -276,6 +276,50 @@ func goldenCases() []goldenCase {
 			}
 			return maximizeRecord("sparse-cycle-maximize", sol)
 		}},
+		{name: "dense-random-alo-decision", run: func(t *testing.T) goldenRecord {
+			rng := rand.New(rand.NewPCG(101, 102))
+			inst := gen.RandomDense(10, 8, 3, rng)
+			set, err := psdp.NewDenseSet(inst.A)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr, err := psdp.Decision(set.WithScale(0.15), 0.2, psdp.Options{Seed: 47, Engine: psdp.EngineALO})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return decisionRecord("dense-random-alo-decision", dr)
+		}},
+		{name: "sparse-grid-jl-alo-decision", run: func(t *testing.T) goldenRecord {
+			rng := rand.New(rand.NewPCG(103, 104))
+			inst, err := gen.SparseGroupedLaplacians(graph.Grid(4, 4), 6, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := psdp.NewSparseSet(inst.A)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr, err := psdp.Decision(set.WithScale(1.2), 0.25, psdp.Options{Seed: 53, SketchEps: 0.4, MaxIter: 600, Engine: psdp.EngineALO})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return decisionRecord("sparse-grid-jl-alo-decision", dr)
+		}},
+		{name: "factored-cycle-alo-maximize", run: func(t *testing.T) goldenRecord {
+			inst, err := gen.GraphEdgePacking(graph.Cycle(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := psdp.NewFactoredSet(inst.Q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := psdp.Maximize(set, 0.25, psdp.Options{Seed: 59, SketchEps: 0.4, Engine: psdp.EngineALO})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return maximizeRecord("factored-cycle-alo-maximize", sol)
+		}},
 		{name: "mixed-diag-solve", run: func(t *testing.T) goldenRecord {
 			pack, err := psdp.NewDenseSet([]*psdp.Dense{
 				psdp.Diag([]float64{0.5, 0.2, 0.1}),
