@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/matrix"
 	"repro/internal/sparse"
 	"repro/internal/work"
 )
@@ -224,17 +225,17 @@ func TestALODenseStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := newALORun(set.WithScale(0.5), 0.25, Options{Seed: 1, TheoryExact: true})
+	a, err := newDecisionRun(set.WithScale(0.5), 0.25, Options{Engine: EngineALO, Seed: 1, TheoryExact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := a.Step(); err != nil {
+		if err := a.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := a.Step(); err != nil {
+		if err := a.step(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -260,17 +261,17 @@ func TestALOSparseExactStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := newALORun(set.WithScale(0.02), 0.25, Options{Seed: 6, Oracle: OracleFactoredExact, TheoryExact: true})
+	a, err := newDecisionRun(set.WithScale(0.02), 0.25, Options{Engine: EngineALO, Seed: 6, Oracle: OracleFactoredExact, TheoryExact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := a.Step(); err != nil {
+		if err := a.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := a.Step(); err != nil {
+		if err := a.step(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -366,5 +367,75 @@ func TestWorkspaceReuseAcrossFactoredCalls(t *testing.T) {
 	}
 	if got := ws.Misses(); got != warm {
 		t.Errorf("factored workspace missed %d more times across repeat calls, want 0", got-warm)
+	}
+}
+
+// The mixed packing/covering rule runs on the same loop and holds the
+// same discipline: on a workspace shared with an earlier mixed solve, a
+// steady-state iteration — soft-min covering weights, the rule's pick,
+// the oracle update — performs ZERO heap allocations, dense and
+// factored-JL, under both engines. (A coordinate's cap λ_max is
+// computed once, the first time it crosses its guard; these instances
+// cross no guard while being measured. The factored set has factors of
+// at most four columns, as in TestFactoredJLDecisionStepConstAlloc:
+// CSC.SketchDot reduces wider factors through parallel.SumBlocks,
+// which allocates in Decision and mixed runs alike.)
+func TestMixedStepZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewPCG(601, 602))
+	lp, err := gen.MixedCoveringLP(12, 10, 4, 0.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := NewDenseSet(lp.A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := gen.RandomFactored(12, 24, 2, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact, err := NewFactoredSet(inst.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shrinking the covering rows twentyfold raises the demands well
+	// above the cold start's coverage, which keeps the run going.
+	cover := matrix.New(lp.C.R, lp.C.C)
+	matrix.VecScale(cover.Data, 0.05, lp.C.Data)
+	for _, set := range []ConstraintSet{dense, fact.WithScale(0.05)} {
+		for _, eng := range []EngineKind{EngineMMW, EngineALO} {
+			t.Run(fmt.Sprintf("%T/%v", set, eng), func(t *testing.T) {
+				ws := work.New()
+				opts := Options{Engine: eng, Seed: 3, SketchEps: 0.4, MaxIter: 20, Workspace: ws}
+				if _, err := RunMixed(set, cover, 0.2, opts, nil); err != nil {
+					t.Fatal(err)
+				}
+				warm := ws.Misses()
+				opts.MaxIter = 0
+				d, err := newMixedRun(set, cover, 0.2, opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 6; i++ {
+					if err := d.step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				allocs := testing.AllocsPerRun(100, func() {
+					if err := d.step(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if d.done {
+					t.Fatalf("run terminated during measurement after %d iterations", d.t)
+				}
+				if allocs != 0 {
+					t.Errorf("steady-state mixed iteration allocates %.2f per run, want 0", allocs)
+				}
+				if got := ws.Misses(); got != warm {
+					t.Errorf("the second mixed run missed the shared workspace's pools %d times, want 0", got-warm)
+				}
+			})
+		}
 	}
 }

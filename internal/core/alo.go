@@ -1,19 +1,17 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/matrix"
 )
 
-// aloRun is the EngineALO stepper: the optimization view of
-// Allen-Zhu–Lee–Orecchia (arXiv:1507.02259) realized over the same
-// oracles, workspaces, and fixed-reduction-tree kernels as the MMW
-// engine. Instead of Algorithm 3.1's thresholded (1+α) bumps on the
-// below-threshold set, every coordinate follows the truncated gradient
-// of the smoothed packing objective
+// aloRule is the EngineALO step rule: the optimization view of
+// Allen-Zhu–Lee–Orecchia (arXiv:1507.02259), run by the same loop,
+// oracles, workspaces and fixed-reduction-tree kernels as Algorithm
+// 3.1. Instead of the thresholded (1+α) bumps on the below-threshold
+// set, every coordinate follows the truncated gradient of the smoothed
+// packing objective
 //
 //	f_μ(x) = μ·Tr exp((Ψ(x) − I)/μ) − 1ᵀx,   μ = ε/(4(1+log N)),
 //
@@ -23,28 +21,35 @@ import (
 // better than MMW's R — because the per-iteration growth rate e^α is
 // Θ(ε/log N) instead of MMW's 1+Θ(ε²/log N).
 //
-// The engine reuses the existing exp(Ψ)-oracles unchanged by feeding
-// them the scaled iterate xs = x/μ: Ψ(x/μ) = Ψ(x)/μ, so the oracle's
-// normalized ratios rᵢ = Aᵢ•exp(Ψ/μ)/Tr and its LogTrW reconstruct the
-// absolute gradient in log space,
+// The rule reuses the exp(Ψ)-oracles unchanged by feeding them the
+// scaled iterate xs = x/μ (decisionRun.orcX, with lamScale = μ):
+// Ψ(x/μ) = Ψ(x)/μ, so the oracle's normalized ratios
+// rᵢ = Aᵢ•exp(Ψ/μ)/Tr and its LogTrW reconstruct the absolute gradient
+// in log space,
 //
 //	∇ᵢ = rᵢ·exp(LogTrW − 1/μ) − 1 = exp(LogTrW − 1/μ + ln rᵢ) − 1,
 //
 // without ever materializing the e^{1/μ}-scale factor (which would
-// overflow at tight ε). All certificate bookkeeping (running ratio
-// average, best dual snapshot, weak-duality upper bound) is inherited
-// from decisionRun — every density matrix exp(Ψ(xs))/Tr is a trace-1
-// covering witness and every iterate x/λ_max(Ψ(x)) a feasible packing
-// vector, for any dynamics — so the certified Lower/Upper contract of
-// DecisionPSDP holds bit-for-bit the same way.
-type aloRun struct {
-	*decisionRun
+// overflow at tight ε). The certificate bookkeeping is the loop's —
+// every density matrix exp(Ψ(xs))/Tr is a trace-1 covering witness and
+// every iterate x/λ_max(Ψ(x)) a feasible packing vector, for any
+// dynamics — so the certified Lower/Upper contract of DecisionPSDP
+// holds the same way. The per-coordinate gradient loop is sequential,
+// so the rule is bitwise deterministic across GOMAXPROCS.
+type aloRule struct {
 	// mu is the smoothing parameter, alpha the step size, invMu = 1/mu.
 	mu, alpha, invMu float64
 	// xs = x/mu is the vector the oracle holds; updated in place (the
 	// operator oracles read it through a retained pointer, the dense
 	// oracle through update's incremental deltas).
 	xs []float64
+	// grew counts the coordinates the last pick moved up.
+	grew int
+}
+
+func newALORule(d *decisionRun) *aloRule {
+	mu := d.eps / (4 * (1 + d.prm.LogN))
+	return &aloRule{mu: mu, alpha: mu / 2, invMu: 1 / mu}
 }
 
 // aloIterCap is the ALO engine's iteration budget,
@@ -62,10 +67,6 @@ func aloIterCap(logN, eps float64) int {
 	return int(tf)
 }
 
-// ALOIterCap exposes the ALO iteration budget to sibling packages that
-// run ALO-style dynamics over the RatioOracle (internal/mixed).
-func ALOIterCap(logN, eps float64) int { return aloIterCap(logN, eps) }
-
 // aloDualExitRatio is the certified dual ratio at which the ALO engine
 // answers "accept": some iterate x/λ_max(Ψ(x)) has packing value
 // ≥ 1 − ε, i.e. OPT ≥ 1 − ε — inside the same O(ε) accept band MMW's
@@ -77,93 +78,17 @@ func aloDualExitRatio(eps float64) float64 { return 1 - eps }
 // without evaluating the (possibly overflowing) exponential.
 const aloTruncLog = 0.6931471805599453
 
-func newALORun(set ConstraintSet, eps float64, opts Options) (*aloRun, error) {
-	d, err := newRunBase(set, eps, opts)
-	if err != nil {
-		return nil, err
-	}
-	d.engineName = EngineNameALO
-	mu := eps / (4 * (1 + d.prm.LogN))
-	a := &aloRun{decisionRun: d, mu: mu, alpha: mu / 2, invMu: 1 / mu}
-	d.lamScale = mu
-	d.setIterCap(aloIterCap(d.prm.LogN, eps))
-	if err := d.installStart(); err != nil {
-		d.orc.release()
-		return nil, err
-	}
-	a.xs = make([]float64, d.n)
-	matrix.VecScale(a.xs, a.invMu, d.x)
-	if err := d.orc.init(a.xs); err != nil {
-		return nil, err
-	}
-	d.orcX = a.xs
-	return a, nil
-}
-
-// Step runs one ALO iteration: oracle ratios at xs = x/μ, the shared
-// certificate bookkeeping, the truncated-gradient multiplicative
-// update on every unfrozen coordinate, and the exit checks. Like the
-// MMW step it is allocation-free in steady state (the regression tests
-// pin it) and bitwise deterministic across GOMAXPROCS — the only
-// reductions are the fixed block trees of the shared kernels, and the
-// per-coordinate gradient loop is sequential.
-func (a *aloRun) Step() error {
-	if a.opts.Ctx != nil {
-		if err := a.opts.Ctx.Err(); err != nil {
-			return fmt.Errorf("core: iteration %d: %w", a.t+1, err)
-		}
-	}
-	a.t++
-	ph := a.opts.Phases
-	var mark time.Time
-	if ph != nil {
-		mark = time.Now()
-	}
-	r, info, err := a.orc.ratios()
-	if err != nil {
-		return fmt.Errorf("core: iteration %d: %w", a.t, err)
-	}
-	if ph != nil {
-		now := time.Now()
-		ph.OracleNS += now.Sub(mark).Nanoseconds()
-		mark = now
-	}
-	// The oracle sees Ψ(x)/μ; scale its spectral estimate back.
-	lam := a.mu * info.LambdaMax
-	if lam > a.res.MaxPsiNorm {
-		a.res.MaxPsiNorm = lam
-	}
-	matrix.VecAXPY(a.avg, 1, r)
-	minR := matrix.VecMin(r)
-	if minR > a.bestMinR {
-		a.bestMinR = minR
-	}
-	if l := math.Max(lam, 1); l > 0 {
-		if ratio := matrix.VecSum(a.x) / l; ratio > a.bestDualRatio {
-			a.bestDualRatio = ratio
-			a.bestDualX = append(a.bestDualX[:0], a.x...)
-			a.haveDualSnap = true
-		}
-	}
-	if a.opts.TrackPrimalMatrix {
-		if p := a.orc.probability(); p != nil {
-			if a.ySum == nil {
-				a.ySum = matrix.New(a.m, a.m)
-			}
-			matrix.AXPY(a.ySum, 1, p)
-		}
-	}
-
-	// Truncated gradient in log space, then the multiplicative step on
-	// every unfrozen coordinate. A zero ratio means the gradient is
-	// exactly −1 (the constraint is invisible in the current density
-	// matrix, so its coordinate grows at full rate).
+// pick takes the truncated gradient in log space, then the
+// multiplicative step on every unfrozen coordinate. A zero ratio means
+// the gradient is exactly −1 (the constraint is invisible in the
+// current density matrix, so its coordinate grows at full rate).
+func (a *aloRule) pick(d *decisionRun, r []float64, info oracleInfo) error {
 	logShift := info.LogTrW - a.invMu
-	a.b = a.b[:0]
-	a.mults = a.mults[:0]
-	grew := 0
-	for i := 0; i < a.n; i++ {
-		if a.frozen[i] {
+	d.b = d.b[:0]
+	d.mults = d.mults[:0]
+	a.grew = 0
+	for i := 0; i < d.n; i++ {
+		if d.frozen[i] {
 			continue
 		}
 		v := -1.0
@@ -178,67 +103,41 @@ func (a *aloRun) Step() error {
 			continue
 		}
 		if v < 0 {
-			grew++
+			a.grew++
 		}
 		mult := math.Exp(-a.alpha * v)
-		a.x[i] *= mult
-		a.b = append(a.b, i)
-		a.mults = append(a.mults, mult)
+		d.x[i] *= mult
+		d.b = append(d.b, i)
+		d.mults = append(d.mults, mult)
 	}
-	if ph != nil {
-		now := time.Now()
-		ph.BookkeepNS += now.Sub(mark).Nanoseconds()
-		mark = now
-	}
-	if len(a.b) > 0 {
-		matrix.VecScale(a.xs, a.invMu, a.x)
+	if len(d.b) > 0 {
 		// Scaling by 1/μ commutes with the per-coordinate multipliers,
 		// so the oracle's incremental update sees consistent (mults, xs).
-		if err := a.orc.update(a.b, a.mults, a.xs); err != nil {
-			return err
-		}
-	}
-	if ph != nil {
-		ph.UpdateNS += time.Since(mark).Nanoseconds()
-		ph.Iterations++
-	}
-
-	if a.opts.OnIteration != nil {
-		cont := a.opts.OnIteration(IterationInfo{
-			T:         a.t,
-			XNorm1:    matrix.VecSum(a.x),
-			LambdaMax: lam,
-			MinRatio:  minR,
-			MaxRatio:  matrix.VecMax(r),
-			Updated:   len(a.b),
-		})
-		if !cont {
-			a.done = true
-			return nil
-		}
-	}
-
-	if !a.opts.TheoryExact {
-		// Dual exit: a certified iterate reached packing value 1−ε.
-		if a.bestDualRatio >= aloDualExitRatio(a.eps) {
-			a.res.Outcome = OutcomeDual
-			a.done = true
-			return nil
-		}
-		// Primal exits, shared with MMW: the running-average density
-		// matrix covers, or the dynamics stalled (no coordinate grew)
-		// with a single density matrix already certifying Upper ≤ ~1.
-		minAvg := matrix.VecMin(a.avg) / float64(a.t)
-		if minAvg >= 1-a.slack {
-			a.res.Outcome = OutcomePrimal
-			a.done = true
-			return nil
-		}
-		if grew == 0 && minR >= 1 {
-			a.res.Outcome = OutcomePrimal
-			a.done = true
-			return nil
-		}
+		matrix.VecScale(a.xs, a.invMu, d.x)
 	}
 	return nil
+}
+
+// exit: a certified iterate reached packing value 1−ε (dual), or one of
+// the primal exits shared with MMW — with "stalled" meaning no
+// coordinate grew while a single density matrix already certifies
+// Upper ≤ ~1.
+func (a *aloRule) exit(d *decisionRun, minR float64) {
+	switch {
+	case d.opts.TheoryExact:
+	case d.bestDualRatio >= aloDualExitRatio(d.eps):
+		d.stop(OutcomeDual)
+	default:
+		d.primalExit(a.grew == 0 && minR >= 1)
+	}
+}
+
+// capOutcome: the ALO budget exhausted without an early exit decides by
+// the certified dual ratio the run accumulated (its analog of MMW's
+// ‖x‖₁ > K signal).
+func (a *aloRule) capOutcome(d *decisionRun) Outcome {
+	if d.bestDualRatio >= aloDualExitRatio(d.eps) {
+		return OutcomeDual
+	}
+	return OutcomePrimal
 }

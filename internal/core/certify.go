@@ -36,7 +36,7 @@ func VerifyDual(set ConstraintSet, x []float64, tol float64) (*DualCertificate, 
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	lam, err := lambdaMaxPsiOf(set, x)
+	lam, err := LambdaMaxPsi(set, x)
 	if err != nil {
 		return nil, err
 	}
@@ -48,10 +48,10 @@ func VerifyDual(set ConstraintSet, x []float64, tol float64) (*DualCertificate, 
 	}, nil
 }
 
-// lambdaMaxPsiOf computes a certificate-grade λ_max(Σ xᵢAᵢ): exact
-// eigendecomposition for dense sets, converged fully-reorthogonalized
-// Lanczos otherwise.
-func lambdaMaxPsiOf(set ConstraintSet, x []float64) (float64, error) {
+// LambdaMaxPsi computes a certificate-grade λ_max(Σ xᵢAᵢ) for any set
+// and vector, independent of any oracle state: exact eigendecomposition
+// for dense sets, converged fully-reorthogonalized Lanczos otherwise.
+func LambdaMaxPsi(set ConstraintSet, x []float64) (float64, error) {
 	switch s := set.(type) {
 	case *DenseSet:
 		return eigen.LambdaMax(s.PsiDense(x))

@@ -280,24 +280,29 @@ type DecisionResult struct {
 // default, the ALO update rule as a second engine); the certificate
 // contract above holds identically for every engine.
 func DecisionPSDP(set ConstraintSet, eps float64, opts Options) (*DecisionResult, error) {
-	eng, err := newEngine(set, eps, opts)
+	d, err := newDecisionRun(set, eps, opts)
 	if err != nil {
 		return nil, err
 	}
-	for !eng.Done() {
-		if err := eng.Step(); err != nil {
-			eng.abort()
-			return nil, err
-		}
+	// Every exit path hands the oracle's buffers back, so a workspace
+	// shared across sequential calls (Options.Workspace,
+	// MaximizePacking) serves the next call without a pool miss.
+	defer d.orc.release()
+	if err := d.run(); err != nil {
+		return nil, err
 	}
-	return eng.Certify()
+	return d.finish()
 }
 
-// decisionRun is the live state of one Algorithm 3.1 run, split into
-// newDecisionRun/step/finish so that (a) the steady-state iteration is
-// a plain method whose allocation behavior the regression tests can pin
-// to zero, and (b) every buffer the loop touches is created once and
-// reused — the oracle draws its own from the shared workspace.
+// decisionRun is the live state of one run of the shared iteration:
+// oracle ratios, certificate bookkeeping, a multiplicative update on
+// the coordinates a stepRule selects, and the rule's exit tests. Every
+// solver in this package runs through it — Algorithm 3.1 (mmwRule), the
+// ALO engine (aloRule) and the §5 mixed packing/covering extension
+// (mixedRule) — so the steady-state iteration is one plain method whose
+// allocation behavior the regression tests pin to zero, and every
+// buffer the loop touches is created once and reused (the oracle draws
+// its own from the shared workspace).
 type decisionRun struct {
 	set  ConstraintSet
 	opts Options
@@ -310,11 +315,11 @@ type decisionRun struct {
 	ws               *work.Workspace
 	n, m             int
 
-	// Engine identity and the two knobs by which the ALO engine reuses
-	// this struct's certificate bookkeeping and finish path: the oracle
-	// holds Ψ(orcX) and its λ_max estimates are multiplied by lamScale
-	// to recover λ_max(Ψ(x)). MMW runs with orcX = x, lamScale = 1; ALO
-	// runs with orcX = x/μ, lamScale = μ.
+	// rule supplies what differs between the solvers sharing this loop.
+	// The oracle holds Ψ(orcX), and its λ_max estimates are multiplied
+	// by lamScale to recover λ_max(Ψ(x)): orcX = x and lamScale = 1
+	// except under the ALO engine (orcX = x/μ, lamScale = μ).
+	rule       stepRule
 	engineName string
 	lamScale   float64
 	orcX       []float64
@@ -343,11 +348,28 @@ type decisionRun struct {
 	done bool
 }
 
-// newRunBase builds the engine-independent part of a run: validation,
-// the paper's constants, the oracle, and the cold-start iterate.
-// Callers finish construction engine-specifically (iteration cap,
-// resume/warm-start handling, oracle init).
-func newRunBase(set ConstraintSet, eps float64, opts Options) (*decisionRun, error) {
+// stepRule is the part of one iteration that differs between solvers.
+// The loop (decisionRun.step) owns everything else: the Ctx check, the
+// step index, phase timing, the oracle ratios, the certificate
+// bookkeeping, the oracle update, OnIteration and the iteration cap.
+type stepRule interface {
+	// pick selects the coordinates to move (d.b) with their
+	// multipliers (d.mults), applies them to d.x and keeps d.orcX in
+	// step. Setting d.done ends the run before the oracle update.
+	pick(d *decisionRun, r []float64, info oracleInfo) error
+	// exit runs the rule's exit tests after the update; minR is
+	// min_i rᵢ of this iteration. A firing test calls d.stop.
+	exit(d *decisionRun, minR float64)
+	// capOutcome decides a TheoryExact run that reached its iteration
+	// cap without an exit.
+	capOutcome(d *decisionRun) Outcome
+}
+
+// newRunBase builds the solver-independent part of a run: validation,
+// the paper's constants for n constraints at dimension paramDim, the
+// oracle, and the cold-start iterate. Callers install the step rule,
+// the iteration cap and the start, then initialize the oracle.
+func newRunBase(set ConstraintSet, eps float64, opts Options, paramDim int) (*decisionRun, error) {
 	if err := guardEps(eps); err != nil {
 		return nil, err
 	}
@@ -362,7 +384,7 @@ func newRunBase(set ConstraintSet, eps float64, opts Options) (*decisionRun, err
 		}
 	}
 	n, m := set.N(), set.Dim()
-	prm, err := ParamsFor(n, m, eps)
+	prm, err := ParamsFor(n, paramDim, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -399,6 +421,7 @@ func newRunBase(set ConstraintSet, eps float64, opts Options) (*decisionRun, err
 		bestDualX: make([]float64, 0, n),
 		res:       &DecisionResult{Params: prm, Outcome: OutcomeInconclusive},
 	}
+	d.orcX = d.x
 
 	// Initial point x⁰ᵢ = 1/(n·Tr[Aᵢ]) (paper line 1), which guarantees
 	// Ψ⁰ ≼ I (Claim 3.3). Zero-trace constraints (Aᵢ = 0) are satisfied
@@ -419,76 +442,74 @@ func newRunBase(set ConstraintSet, eps float64, opts Options) (*decisionRun, err
 	return d, nil
 }
 
-// setIterCap installs the engine's iteration budget, honoring
-// Options.MaxIter within it.
-func (d *decisionRun) setIterCap(cap int) {
-	maxIter := d.opts.MaxIter
-	if maxIter <= 0 || maxIter > cap {
-		maxIter = cap
+// newDecisionRun builds the run DecisionPSDP drives: the engine
+// Options.Engine selects (EngineAuto resolved per instance), its
+// iteration budget within Options.MaxIter, and the resume/warm-start
+// options applied to the cold-start iterate.
+func newDecisionRun(set ConstraintSet, eps float64, opts Options) (*decisionRun, error) {
+	d, err := newRunBase(set, eps, opts, set.Dim())
+	if err != nil {
+		return nil, err
 	}
-	d.maxIter = maxIter
+	budget := d.prm.R
+	d.engineName, d.rule = EngineNameMMW, mmwRule{}
+	if ResolveEngine(opts.Engine, set, eps) == EngineALO {
+		a := newALORule(d)
+		d.engineName, d.rule, d.lamScale = EngineNameALO, a, a.mu
+		budget = aloIterCap(d.prm.LogN, eps)
+	}
+	d.maxIter = opts.MaxIter
+	if d.maxIter <= 0 || d.maxIter > budget {
+		d.maxIter = budget
+	}
+	// The per-engine state rules (restore rejects cross-engine states,
+	// warm start falls back cold on them) read d.engineName.
+	switch {
+	case opts.continueFrom != nil && opts.WarmStart != nil:
+		err = errors.New("core: cannot combine WarmStart with resume")
+	case opts.continueFrom != nil:
+		err = d.restore(opts.continueFrom)
+	case opts.WarmStart != nil:
+		d.applyWarmStart(opts.WarmStart)
+	}
+	if err == nil {
+		if a, ok := d.rule.(*aloRule); ok {
+			a.xs = make([]float64, d.n)
+			matrix.VecScale(a.xs, a.invMu, d.x)
+			d.orcX = a.xs
+		}
+		err = d.orc.init(d.orcX)
+	}
+	if err != nil {
+		d.orc.release()
+		return nil, err
+	}
+	return d, nil
 }
 
-// installStart applies the resume/warm-start options to the cold-start
-// iterate. Both engines run it after setting their engine name, so the
-// per-engine state rules (restore rejects cross-engine states, warm
-// start falls back cold on them) apply uniformly.
-func (d *decisionRun) installStart() error {
-	switch {
-	case d.opts.continueFrom != nil:
-		if d.opts.WarmStart != nil {
-			return errors.New("core: cannot combine WarmStart with resume")
+// run steps until a rule's exit fires, the observer stops the run, or
+// the iteration cap is reached.
+func (d *decisionRun) run() error {
+	for !d.done && d.t < d.maxIter {
+		if err := d.step(); err != nil {
+			return err
 		}
-		return d.restore(d.opts.continueFrom)
-	case d.opts.WarmStart != nil:
-		d.applyWarmStart(d.opts.WarmStart)
 	}
 	return nil
 }
 
-func newDecisionRun(set ConstraintSet, eps float64, opts Options) (*decisionRun, error) {
-	d, err := newRunBase(set, eps, opts)
-	if err != nil {
-		return nil, err
-	}
-	d.engineName = EngineNameMMW
-	d.setIterCap(d.prm.R)
-	if err := d.installStart(); err != nil {
-		d.orc.release()
-		return nil, err
-	}
-	if err := d.orc.init(d.x); err != nil {
-		return nil, err
-	}
-	d.orcX = d.x
-	return d, nil
+// stop ends the run with outcome o.
+func (d *decisionRun) stop(o Outcome) {
+	d.res.Outcome = o
+	d.done = true
 }
 
-// Engine interface. aloRun embeds *decisionRun and overrides Step; the
-// other methods are shared and branch on the engine fields where the
-// engines differ (lamScale, engineName).
-
-// Step implements Engine.
-func (d *decisionRun) Step() error { return d.step() }
-
-// Done implements Engine.
-func (d *decisionRun) Done() bool { return d.done || d.t >= d.maxIter }
-
-// Snapshot implements Engine.
-func (d *decisionRun) Snapshot() *DecisionState { return d.snapshot() }
-
-// Restore implements Engine.
-func (d *decisionRun) Restore(st *DecisionState) error { return d.restore(st) }
-
-// Certify implements Engine.
-func (d *decisionRun) Certify() (*DecisionResult, error) { return d.finish() }
-
-func (d *decisionRun) abort() { d.orc.release() }
-
-// step runs one MMW iteration (paper lines 3–7 plus certificate
-// bookkeeping). It sets d.done when a certificate fires or the observer
-// stops the run. After the workspace warms up in iteration 1, a dense-
-// oracle step performs zero heap allocations.
+// step runs one iteration: the oracle ratios (paper line 4), the
+// certificate bookkeeping, the rule's coordinate selection and
+// multiplicative update (lines 5–7), and the rule's exit tests. It sets
+// d.done when an exit fires or the observer stops the run. After the
+// workspace warms up in iteration 1, a dense-oracle step performs zero
+// heap allocations.
 func (d *decisionRun) step() error {
 	if d.opts.Ctx != nil {
 		if err := d.opts.Ctx.Err(); err != nil {
@@ -510,15 +531,17 @@ func (d *decisionRun) step() error {
 		ph.OracleNS += now.Sub(mark).Nanoseconds()
 		mark = now
 	}
-	if info.LambdaMax > d.res.MaxPsiNorm {
-		d.res.MaxPsiNorm = info.LambdaMax
+	lam := d.lamScale * info.LambdaMax
+	if lam > d.res.MaxPsiNorm {
+		d.res.MaxPsiNorm = lam
 	}
 	matrix.VecAXPY(d.avg, 1, r)
-	if minR := matrix.VecMin(r); minR > d.bestMinR {
+	minR := matrix.VecMin(r)
+	if minR > d.bestMinR {
 		d.bestMinR = minR
 	}
-	if lam := math.Max(info.LambdaMax, 1); lam > 0 {
-		if ratio := matrix.VecSum(d.x) / lam; ratio > d.bestDualRatio {
+	if l := math.Max(lam, 1); l > 0 {
+		if ratio := matrix.VecSum(d.x) / l; ratio > d.bestDualRatio {
 			d.bestDualRatio = ratio
 			d.bestDualX = append(d.bestDualX[:0], d.x...)
 			d.haveDualSnap = true
@@ -533,29 +556,16 @@ func (d *decisionRun) step() error {
 		}
 	}
 
-	// B⁽ᵗ⁾ = {i : rᵢ ≤ 1+ε} (paper line 5), minus frozen indices.
-	d.b = d.b[:0]
-	d.mults = d.mults[:0]
-	for i := 0; i < d.n; i++ {
-		if !d.frozen[i] && r[i] <= d.threshold {
-			d.b = append(d.b, i)
-			steps := 1
-			if d.opts.Bucketed {
-				steps = bucketSteps(r[i], d.threshold, d.eps, d.prm.Alpha)
-			}
-			d.mults = append(d.mults, math.Pow(1+d.prm.Alpha, float64(steps)))
-		}
+	if err := d.rule.pick(d, r, info); err != nil {
+		return fmt.Errorf("core: iteration %d: %w", d.t, err)
 	}
 	if ph != nil {
 		now := time.Now()
 		ph.BookkeepNS += now.Sub(mark).Nanoseconds()
 		mark = now
 	}
-	if len(d.b) > 0 {
-		for j, i := range d.b {
-			d.x[i] *= d.mults[j]
-		}
-		if err := d.orc.update(d.b, d.mults, d.x); err != nil {
+	if !d.done && len(d.b) > 0 {
+		if err := d.orc.update(d.b, d.mults, d.orcX); err != nil {
 			return err
 		}
 	}
@@ -568,8 +578,8 @@ func (d *decisionRun) step() error {
 		cont := d.opts.OnIteration(IterationInfo{
 			T:         d.t,
 			XNorm1:    matrix.VecSum(d.x),
-			LambdaMax: info.LambdaMax,
-			MinRatio:  matrix.VecMin(r),
+			LambdaMax: lam,
+			MinRatio:  minR,
 			MaxRatio:  matrix.VecMax(r),
 			Updated:   len(d.b),
 		})
@@ -578,60 +588,72 @@ func (d *decisionRun) step() error {
 			return nil
 		}
 	}
-
-	if matrix.VecSum(d.x) > d.prm.K {
-		d.res.Outcome = OutcomeDual
-		d.done = true
-		return nil
-	}
-	if !d.opts.TheoryExact {
-		// Early primal exit: the running average Y̅ = (1/t)ΣP⁽ᵗ⁾ is
-		// already a covering certificate once min_i Aᵢ•Y̅ ≥ 1−slack,
-		// and so is any single P⁽ᵗ⁾ with min_i rᵢ ≥ 1+ε (which is
-		// exactly the situation when B is empty).
-		minAvg := matrix.VecMin(d.avg) / float64(d.t)
-		if minAvg >= 1-d.slack {
-			d.res.Outcome = OutcomePrimal
-			d.done = true
-			return nil
-		}
-		if len(d.b) == 0 && d.bestMinR >= 1 {
-			d.res.Outcome = OutcomePrimal
-			d.done = true
-			return nil
-		}
+	if !d.done {
+		d.rule.exit(d, minR)
 	}
 	return nil
 }
 
-// finish assembles the DecisionResult with its certified bounds. It
-// hands every oracle buffer back to the workspace on all exit paths,
-// so a workspace shared across sequential calls (Options.Workspace,
-// MaximizePacking) serves the next call without a pool miss even after
-// an error.
+// primalExit is the primal exit test MMW and ALO share: the running
+// average Y̅ = (1/t)ΣP⁽ᵗ⁾ is a covering certificate once
+// min_i Aᵢ•Y̅ ≥ 1−slack, and a stalled rule (no coordinate could move)
+// stops once a single P⁽ᵗ⁾ already certifies Upper ≤ ~1.
+func (d *decisionRun) primalExit(stalled bool) {
+	if matrix.VecMin(d.avg)/float64(d.t) >= 1-d.slack || stalled {
+		d.stop(OutcomePrimal)
+	}
+}
+
+// mmwRule is Algorithm 3.1's step: B⁽ᵗ⁾ = {i : rᵢ ≤ 1+ε} (paper line
+// 5) minus frozen indices, each bumped by (1+α) — or, with
+// Options.Bucketed, by one (1+α) factor per (1+ε)-bucket of headroom.
+type mmwRule struct{}
+
+func (mmwRule) pick(d *decisionRun, r []float64, _ oracleInfo) error {
+	d.b = d.b[:0]
+	d.mults = d.mults[:0]
+	for i := 0; i < d.n; i++ {
+		if !d.frozen[i] && r[i] <= d.threshold {
+			d.b = append(d.b, i)
+			steps := 1
+			if d.opts.Bucketed {
+				steps = bucketSteps(r[i], d.threshold, d.eps, d.prm.Alpha)
+			}
+			d.mults = append(d.mults, math.Pow(1+d.prm.Alpha, float64(steps)))
+		}
+	}
+	for j, i := range d.b {
+		d.x[i] *= d.mults[j]
+	}
+	return nil
+}
+
+// exit: ‖x‖₁ > K is the dual branch (paper line 3). Unless TheoryExact,
+// the primal branch may fire early — on the running average, or on a
+// single P⁽ᵗ⁾ with min_i rᵢ ≥ 1+ε (exactly the situation when B is
+// empty).
+func (mmwRule) exit(d *decisionRun, _ float64) {
+	switch {
+	case matrix.VecSum(d.x) > d.prm.K:
+		d.stop(OutcomeDual)
+	case !d.opts.TheoryExact:
+		d.primalExit(len(d.b) == 0 && d.bestMinR >= 1)
+	}
+}
+
+// capOutcome: exhausting R iterations is the primal branch (Lemma 3.6).
+func (mmwRule) capOutcome(d *decisionRun) Outcome {
+	if matrix.VecSum(d.x) > d.prm.K {
+		return OutcomeDual
+	}
+	return OutcomePrimal
+}
+
+// finish assembles the DecisionResult with its certified bounds.
 func (d *decisionRun) finish() (*DecisionResult, error) {
-	defer d.orc.release()
 	set, opts, res := d.set, d.opts, d.res
 	if res.Outcome == OutcomeInconclusive && opts.TheoryExact && d.t >= d.maxIter {
-		switch d.engineName {
-		case EngineNameALO:
-			// The ALO budget exhausted without an early exit: decide by
-			// the certified dual ratio the run accumulated (its analog of
-			// the ‖x‖₁ > K signal below).
-			if d.bestDualRatio >= aloDualExitRatio(d.eps) {
-				res.Outcome = OutcomeDual
-			} else {
-				res.Outcome = OutcomePrimal
-			}
-		default:
-			// Paper semantics: exhausting R iterations is the primal
-			// branch (Lemma 3.6).
-			if matrix.VecSum(d.x) > d.prm.K {
-				res.Outcome = OutcomeDual
-			} else {
-				res.Outcome = OutcomePrimal
-			}
-		}
+		res.Outcome = d.rule.capOutcome(d)
 	}
 
 	res.Iterations = d.t
@@ -662,7 +684,7 @@ func (d *decisionRun) finish() (*DecisionResult, error) {
 	matrix.VecScale(res.DualX, 1/denom, d.x)
 	res.Lower = matrix.VecSum(res.DualX)
 	if d.haveDualSnap && d.bestDualRatio > res.Lower*(1+1e-12) {
-		lamSnap, err := lambdaMaxPsiOf(set, d.bestDualX)
+		lamSnap, err := LambdaMaxPsi(set, d.bestDualX)
 		if err != nil {
 			return nil, err
 		}

@@ -96,45 +96,6 @@ func ResolveEngine(kind EngineKind, set ConstraintSet, eps float64) EngineKind {
 	return EngineALO
 }
 
-// Engine is one live decision run behind DecisionPSDP: a stepper over a
-// constraint set's oracle (PsiOperator or dense) drawing all scratch
-// from a work.Workspace. Implementations are the mmw decisionRun and
-// the alo aloRun; the interface is sealed (abort is unexported) so the
-// certificate bookkeeping contract stays inside this package.
-type Engine interface {
-	// Step advances one iteration; the engine flags itself done when a
-	// certificate fires or an observer stops the run.
-	Step() error
-	// Done reports whether the run has terminated (certificate, observer
-	// stop, or iteration cap).
-	Done() bool
-	// Snapshot deep-copies the resumable run state, tagged with the
-	// engine's name.
-	Snapshot() *DecisionState
-	// Restore reinstates a snapshot taken by the SAME engine on the same
-	// instance; a cross-engine state is an error, never a silent
-	// restore.
-	Restore(st *DecisionState) error
-	// Certify assembles the DecisionResult with certified bounds and
-	// releases every oracle buffer back to the workspace.
-	Certify() (*DecisionResult, error)
-	// abort releases oracle buffers after a Step error (no result).
-	abort()
-}
-
-// newEngine builds the engine selected by opts.Engine (EngineAuto
-// resolved per instance) over set at accuracy eps.
-func newEngine(set ConstraintSet, eps float64, opts Options) (Engine, error) {
-	switch ResolveEngine(opts.Engine, set, eps) {
-	case EngineMMW:
-		return newDecisionRun(set, eps, opts)
-	case EngineALO:
-		return newALORun(set, eps, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown engine kind %d", opts.Engine)
-	}
-}
-
 // legacyEngineName maps a DecisionState.Engine tag to its canonical
 // form: states captured before the engine split carry "" and belong to
 // the only engine that existed, MMW.

@@ -186,20 +186,20 @@ func TestALODenseStepZeroAllocWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ph SolveStats
-	a, err := newALORun(set.WithScale(0.5), 0.25, Options{
-		Seed: 1, TheoryExact: true, Phases: &ph,
+	a, err := newDecisionRun(set.WithScale(0.5), 0.25, Options{
+		Engine: EngineALO, Seed: 1, TheoryExact: true, Phases: &ph,
 		OnIteration: telemetryObserver(obs.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := a.Step(); err != nil {
+		if err := a.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := a.Step(); err != nil {
+		if err := a.step(); err != nil {
 			t.Fatal(err)
 		}
 	})

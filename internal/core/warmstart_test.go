@@ -108,7 +108,7 @@ func TestWarmStartGuardInvariants(t *testing.T) {
 	if sum >= d.prm.K {
 		t.Fatalf("warm ‖x‖₁ = %v not under K = %v", sum, d.prm.K)
 	}
-	lam, err := lambdaMaxPsiOf(scaled, d.x)
+	lam, err := LambdaMaxPsi(scaled, d.x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,27 +10,30 @@
 // class is "positive covering LP constraints + one matrix packing
 // constraint" — the natural first extension beyond pure packing.
 //
-// The algorithm couples Algorithm 3.1's matrix soft-max packing ratios
+// Solve runs on the loop every solver in internal/core shares
+// (core.RunMixed): the same oracles, workspace, cancellation check and
+// phase timing as Decision, with a covering step rule in place of
+// Algorithm 3.1's. The rule couples the matrix soft-max packing ratios
 // pᵢ = exp(Ψ)•Aᵢ/Tr[exp(Ψ)] with Young-style soft-min covering ratios
-// cᵢ = Σⱼ e^{−(Cx)ⱼ}Cⱼᵢ / Σⱼ e^{−(Cx)ⱼ}·c̄ and multiplies the
-// coordinates whose packing cost is small relative to their covering
-// benefit. Algorithm 3.1's coordinate cap bounds the iterate: a
-// coordinate that reaches xᵢ·λ_max(Aᵢ) = 1+ε can never be part of a
-// bicriteria point with more weight on i, so it is clamped there and
-// frozen, forcing the remaining coverage onto coordinates with packing
-// headroom. The output is always VERIFIED: Solve reports a bicriteria
-// point (covering within 1−ε, packing within 1+O(ε)) only after
-// checking both sides numerically, and returns StatusInconclusive
-// otherwise — it never claims an unverified answer.
+// and multiplies the coordinates whose packing cost is small relative
+// to their covering benefit; a coordinate that reaches its Algorithm
+// 3.1 cap xᵢ·λ_max(Aᵢ) = 1+ε is clamped there and frozen, forcing the
+// remaining coverage onto coordinates with packing headroom. The
+// output is always VERIFIED: Solve reports a bicriteria point
+// (covering within 1−ε, packing within 1+O(ε)) only after checking
+// both sides numerically, and returns StatusInconclusive otherwise —
+// it never claims an unverified answer.
 package mixed
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/work"
 )
 
 // Problem is a mixed packing/covering instance.
@@ -140,70 +143,16 @@ type Options struct {
 	// from above; the bicriteria verification at exit is unconditional
 	// either way.
 	WarmStart []float64
-}
-
-// run carries the per-solve state shared by both engines.
-type run struct {
-	p      *Problem
-	eps    float64
-	n, d   int
-	prm    core.Params
-	orc    *core.RatioOracle
-	x      []float64
-	frozen []bool
-	// guard[i] = (1+ε)/Tr[Aᵢ] is a free lower bound on the cap: since
-	// λ_max(Aᵢ) ≤ Tr[Aᵢ], no step below the guard can hit the cap, so
-	// the per-constraint λ_max (a Lanczos/eigen solve) is computed
-	// lazily, first time a coordinate crosses its guard.
-	guard []float64
-	// capv[i] = (1+ε)/λ_max(Aᵢ) once computed; 0 = not yet computed.
-	capv   []float64
-	unit   []float64
-	capped int
-}
-
-// capFor returns the coordinate cap (1+ε)/λ_max(Aᵢ), computing and
-// memoizing the certificate-grade per-constraint λ_max on first use.
-func (r *run) capFor(i int) (float64, error) {
-	if r.capv[i] != 0 {
-		return r.capv[i], nil
-	}
-	for k := range r.unit {
-		r.unit[k] = 0
-	}
-	r.unit[i] = 1
-	lam, err := core.LambdaMaxPsi(r.p.Pack, r.unit)
-	if err != nil {
-		return 0, err
-	}
-	c := math.Inf(1)
-	if lam > 0 {
-		c = (1 + r.eps) / lam
-	}
-	r.capv[i] = c
-	return c, nil
-}
-
-// step multiplies x[i] by mult, clamping at the coordinate cap: a step
-// that would land past (1+ε)/λ_max(Aᵢ) is shortened to end exactly on
-// the cap and the coordinate freezes (Algorithm 3.1's ‖x‖ bound).
-// Returns the multiplier actually applied.
-func (r *run) step(i int, mult float64) (float64, error) {
-	nx := r.x[i] * mult
-	if mult > 1 && nx > r.guard[i] {
-		cap, err := r.capFor(i)
-		if err != nil {
-			return 0, err
-		}
-		if nx >= cap {
-			mult = cap / r.x[i]
-			nx = cap
-			r.frozen[i] = true
-			r.capped++
-		}
-	}
-	r.x[i] = nx
-	return mult, nil
+	// Ctx, when non-nil, is checked every iteration: cancellation stops
+	// the run with an error wrapping the context error (as in
+	// core.Options).
+	Ctx context.Context
+	// Workspace, when non-nil, supplies the scratch-buffer arena for the
+	// run (as in core.Options); nil means a private one.
+	Workspace *work.Workspace
+	// Phases, when non-nil, accumulates the per-phase wall-time
+	// breakdown and the iteration count (as in core.Options).
+	Phases *core.SolveStats
 }
 
 // Solve searches for a bicriteria-feasible point of the mixed system at
@@ -212,244 +161,41 @@ func Solve(p *Problem, eps float64, opts Options) (*Result, error) {
 	if eps <= 0 || eps >= 1 || math.IsNaN(eps) {
 		return nil, fmt.Errorf("mixed: eps = %v out of (0, 1)", eps)
 	}
-	engine := core.ResolveEngine(opts.Engine, p.Pack, eps)
-	if engine != core.EngineMMW && engine != core.EngineALO {
-		return nil, fmt.Errorf("mixed: unknown engine %v", opts.Engine)
+	if p == nil || p.Pack == nil || p.Cover == nil {
+		return nil, errors.New("mixed: nil problem")
 	}
-	n := p.Pack.N()
-	d := p.Cover.R
-	prm, err := core.ParamsFor(n, max(p.Pack.Dim(), d), eps)
-	if err != nil {
-		return nil, err
+	if opts.MaxIter < 0 {
+		return nil, fmt.Errorf("mixed: Options.MaxIter = %d must be >= 0", opts.MaxIter)
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		if engine == core.EngineALO {
-			maxIter = core.ALOIterCap(prm.LogN, eps)
-		} else {
-			maxIter = prm.R
-		}
-	}
-
-	orc, err := core.NewRatioOracle(p.Pack, core.Options{
+	run, err := core.RunMixed(p.Pack, p.Cover, eps, core.Options{
+		Engine:    opts.Engine,
 		Oracle:    opts.Oracle,
+		MaxIter:   opts.MaxIter,
 		Seed:      opts.Seed,
 		SketchEps: eps / 2,
-	})
+		Ctx:       opts.Ctx,
+		Workspace: opts.Workspace,
+		Phases:    opts.Phases,
+	}, opts.WarmStart)
 	if err != nil {
 		return nil, err
 	}
-
-	r := &run{
-		p: p, eps: eps, n: n, d: d, prm: prm, orc: orc,
-		x:      make([]float64, n),
-		frozen: make([]bool, n),
-		guard:  make([]float64, n),
-		capv:   make([]float64, n),
-		unit:   make([]float64, n),
+	res := &Result{
+		Status:      StatusInconclusive,
+		X:           run.X,
+		Iterations:  run.Iterations,
+		Capped:      run.Capped,
+		Engine:      core.ResolveEngine(opts.Engine, p.Pack, eps).String(),
+		WarmStarted: run.WarmStarted,
 	}
-
-	// Cold start: the packing-safe point x⁰ᵢ = 1/(n·Tr[Aᵢ]). A zero
-	// packing constraint exerts no packing pressure; give it the
-	// covering-scaled start x⁰ᵢ = 1/(n·max_j Cⱼᵢ) instead, so it enters
-	// the multiplicative dynamics like every other coordinate. A
-	// coordinate with zero trace AND a zero covering column is useless
-	// on both sides — it stays at 0, frozen.
-	for i := 0; i < n; i++ {
-		tr := p.Pack.Trace(i)
-		if tr > 0 {
-			r.x[i] = 1 / (float64(n) * tr)
-			r.guard[i] = (1 + eps) / tr
-			continue
-		}
-		r.guard[i] = math.Inf(1)
-		cmax := 0.0
-		for j := 0; j < d; j++ {
-			if v := p.Cover.Row(j)[i]; v > cmax {
-				cmax = v
-			}
-		}
-		if cmax > 0 {
-			r.x[i] = 1 / (float64(n) * cmax)
-		} else {
-			r.frozen[i] = true
-		}
-	}
-
-	res := &Result{Status: StatusInconclusive, Engine: engine.String()}
-
-	// Warm start: adopt a previous iterate coordinate-wise when the
-	// vector is shaped and signed right, never dropping below the cold
-	// floor (a zero coordinate could not grow multiplicatively) and
-	// never past the cap.
-	if ws := opts.WarmStart; ws != nil && len(ws) == n && warmUsable(ws) {
-		for i := 0; i < n; i++ {
-			if r.frozen[i] || ws[i] <= r.x[i] {
-				continue
-			}
-			v := ws[i]
-			if v > r.guard[i] {
-				cap, err := r.capFor(i)
-				if err != nil {
-					return nil, err
-				}
-				if v >= cap {
-					v = cap
-					r.frozen[i] = true
-					r.capped++
-				}
-			}
-			r.x[i] = v
-		}
-		res.WarmStarted = true
-	}
-
-	if err := orc.Init(r.x); err != nil {
-		return nil, err
-	}
-
-	// ALO step size over the covering-vs-packing feedback, mirroring
-	// the Decision engine's constants: η = μ/2 with μ = ε/(4(1+log N)).
-	aloEta := eps / (8 * (1 + prm.LogN))
-
-	cx := make([]float64, d)
-	w := make([]float64, d)
-	cRatio := make([]float64, n)
-	var b []int
-	var mults []float64
-
-	t := 0
-	for t < maxIter {
-		t++
-		pr, err := orc.Ratios()
-		if err != nil {
-			return nil, err
-		}
-		// Covering soft-min weights on the shortfall, shift-stabilized.
-		p.Cover.MulVecTo(cx, r.x)
-		minCx := matrix.VecMin(cx)
-		if minCx >= 1 {
-			break // fully covered; verify below
-		}
-		for j := 0; j < d; j++ {
-			w[j] = math.Exp(-(cx[j] - minCx))
-		}
-		trW := matrix.VecSum(w)
-		for i := range cRatio {
-			cRatio[i] = 0
-		}
-		for j := 0; j < d; j++ {
-			wj := w[j] / trW
-			if wj == 0 {
-				continue
-			}
-			row := p.Cover.Row(j)
-			for i := 0; i < n; i++ {
-				cRatio[i] += wj * row[i]
-			}
-		}
-		// Normalize the covering benefit to a dimensionless ratio
-		// against its own mean so it compares with pᵢ (which averages
-		// to ~1 by construction).
-		meanC := matrix.VecSum(cRatio) / float64(n)
-		if meanC <= 0 {
-			break // nothing helps coverage: stuck
-		}
-
-		b = b[:0]
-		mults = mults[:0]
-		if engine == core.EngineALO {
-			// Truncated-gradient step: every live coordinate moves by
-			// exp(η·g) with g = clamp(1 − prᵢ/((1+ε)·cRatioᵢ), ±1) —
-			// Young's marginal-price comparison, packing cost against
-			// covering benefit UNNORMALIZED (both are gradients of the
-			// smoothed potentials, so they share the instance's scale).
-			// Positive (grow) below the price threshold, negative
-			// (shrink) above, saturating at one η either way. A
-			// coordinate with no covering benefit only ever shrinks.
-			for i := 0; i < n; i++ {
-				if r.frozen[i] {
-					continue
-				}
-				g := -1.0
-				if benefit := (1 + eps) * cRatio[i]; benefit > 0 {
-					g = 1 - pr[i]/benefit
-					if g > 1 {
-						g = 1
-					} else if g < -1 {
-						g = -1
-					}
-				}
-				b = append(b, i)
-				mults = append(mults, math.Exp(aloEta*g))
-			}
-		} else {
-			// B = {i : packing cost ≤ (1+ε)·relative covering benefit}.
-			for i := 0; i < n; i++ {
-				if r.frozen[i] {
-					continue
-				}
-				if pr[i] <= (1+eps)*cRatio[i]/meanC {
-					b = append(b, i)
-					mults = append(mults, 1+prm.Alpha)
-				}
-			}
-			if len(b) == 0 {
-				// Fallback: push the single best benefit/cost coordinate
-				// so progress never stalls entirely.
-				best, arg := 0.0, -1
-				for i := 0; i < n; i++ {
-					if r.frozen[i] || pr[i] <= 0 {
-						continue
-					}
-					if ratio := cRatio[i] / pr[i]; ratio > best {
-						best, arg = ratio, i
-					}
-				}
-				if arg >= 0 {
-					b = append(b, arg)
-					mults = append(mults, 1+prm.Alpha)
-				}
-			}
-		}
-		if len(b) == 0 {
-			break // every coordinate frozen or useless: stuck
-		}
-		for j, i := range b {
-			m, err := r.step(i, mults[j])
-			if err != nil {
-				return nil, err
-			}
-			mults[j] = m
-		}
-		if err := orc.UpdateMults(b, mults, r.x); err != nil {
-			return nil, err
-		}
-	}
-
-	res.Iterations = t
-	res.Capped = r.capped
-	res.X = matrix.VecClone(r.x)
-	p.Cover.MulVecTo(cx, r.x)
+	cx := make([]float64, p.Cover.R)
+	p.Cover.MulVecTo(cx, res.X)
 	res.MinCoverage = matrix.VecMin(cx)
-	lam, err := core.LambdaMaxPsi(p.Pack, r.x)
-	if err != nil {
+	if res.LambdaMax, err = core.LambdaMaxPsi(p.Pack, res.X); err != nil {
 		return nil, err
 	}
-	res.LambdaMax = lam
 	if res.MinCoverage >= 1-eps && res.LambdaMax <= 1+10*eps {
 		res.Status = StatusFeasible
 	}
 	return res, nil
-}
-
-// warmUsable reports whether a warm-start vector is finite and
-// nonnegative throughout (shape is checked by the caller).
-func warmUsable(ws []float64) bool {
-	for _, v := range ws {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,12 @@
 package mixed
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -150,14 +154,84 @@ func TestSolveDiagonalMixedMatchesLP(t *testing.T) {
 	}
 }
 
+// TestSolveValidation holds Solve to the input rules Decision applies:
+// every bad input is an error, never a panic or a silent default.
 func TestSolveValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	p, _ := feasibleInstance(t, 3, 5, 2, rng)
-	if _, err := Solve(p, 0, Options{}); err == nil {
-		t.Fatal("eps=0 accepted")
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		eps  float64
+		opts Options
+	}{
+		{"eps 0", p, 0, Options{}},
+		{"eps above 1", p, 1.2, Options{}},
+		{"eps NaN", p, math.NaN(), Options{}},
+		{"nil problem", nil, 0.2, Options{}},
+		{"nil packing set", &Problem{Cover: p.Cover}, 0.2, Options{}},
+		{"nil covering matrix", &Problem{Pack: p.Pack}, 0.2, Options{}},
+		{"negative MaxIter", p, 0.2, Options{MaxIter: -1}},
+		{"unknown engine", p, 0.2, Options{Engine: core.EngineKind(9)}},
+		{"unknown oracle", p, 0.2, Options{Oracle: core.OracleKind(9)}},
+		{"jl oracle on a dense set", p, 0.2, Options{Oracle: core.OracleFactoredJL}},
+	} {
+		if res, err := Solve(tc.p, tc.eps, tc.opts); err == nil {
+			t.Errorf("%s: accepted (%d iterations)", tc.name, res.Iterations)
+		}
 	}
-	if _, err := Solve(p, 1.2, Options{}); err == nil {
-		t.Fatal("eps>1 accepted")
+}
+
+// flipCtx is a context whose Err turns to context.Canceled after its
+// first k calls. Solve checks it once before oracle setup and once per
+// iteration, so the check of iteration k is call k+1: a deterministic
+// mid-solve cancellation.
+type flipCtx struct {
+	context.Context
+	k, calls int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveCancelsMidRun: cancellation stops a mixed solve at the
+// iteration where the context turns, under both engines, with an error
+// that wraps the context error and after exactly k−1 completed
+// iterations; the phase sink counts every iteration of a completed
+// solve.
+func TestSolveCancelsMidRun(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	p, _ := feasibleInstance(t, 5, 8, 4, rng)
+	const k = 6
+	for _, eng := range []core.EngineKind{core.EngineMMW, core.EngineALO} {
+		// Uncancelled, the run ends at the coverage exit: an iteration
+		// that stops before any update still counts in the phases.
+		var ph core.SolveStats
+		full, err := Solve(p, 0.15, Options{Engine: eng, Phases: &ph})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Status != StatusFeasible || full.Iterations <= k || ph.Iterations != full.Iterations || ph.OracleNS <= 0 {
+			t.Fatalf("%v: uncancelled solve %v after %d iterations, phases %+v; want feasible after more than %d, counted in the phases",
+				eng, full.Status, full.Iterations, ph, k)
+		}
+		ph = core.SolveStats{}
+		ctx := &flipCtx{Context: context.Background(), k: k}
+		res, err := Solve(p, 0.15, Options{Engine: eng, Ctx: ctx, Phases: &ph})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: got result %v, error %v; want an error wrapping context.Canceled", eng, res, err)
+		}
+		if want := fmt.Sprintf("iteration %d:", k); !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: error %q does not name %q", eng, err, want)
+		}
+		if ph.Iterations != k-1 || ctx.calls != k+1 {
+			t.Errorf("%v: %d iterations completed and %d Err calls, want %d and %d", eng, ph.Iterations, ctx.calls, k-1, k+1)
+		}
 	}
 }
 

@@ -129,7 +129,8 @@ var kinds = []*kindSpec{
 		}},
 	{name: "mixed", payload: mixedPayload, resolveAuto: true, deltaBase: true,
 		run: func(b *built, o core.Options, base *store.Revision) (solved, error) {
-			mo := mixed.Options{MaxIter: o.MaxIter, Seed: o.Seed, Oracle: o.Oracle, Engine: o.Engine}
+			mo := mixed.Options{MaxIter: o.MaxIter, Seed: o.Seed, Oracle: o.Oracle, Engine: o.Engine,
+				Ctx: o.Ctx, Workspace: o.Workspace, Phases: o.Phases}
 			if base != nil {
 				mo.WarmStart = base.MixedX
 			}
@@ -137,10 +138,6 @@ var kinds = []*kindSpec{
 			if err != nil {
 				return solved{}, err
 			}
-			// The mixed engine has no phase instrumentation (its inner
-			// loop is a width-reduced first-order method, not the
-			// oracle/expm pipeline); its iterations still count.
-			o.Phases.Iterations = mr.Iterations
 			return solved{mixedResponse(b.eps, mr), store.Revision{MixedX: mr.X}, mr.WarmStarted}, nil
 		}},
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/instio"
@@ -372,5 +374,66 @@ func TestMixedInBatch(t *testing.T) {
 	}
 	if mr.Kind != "mixed" {
 		t.Fatalf("batch mixed item answered kind %q", mr.Kind)
+	}
+}
+
+// flipCtx is a context whose Err turns to context.DeadlineExceeded
+// after its first k calls. The solver checks it once before oracle
+// setup and once per iteration, so the check of iteration k is call
+// k+1: a deadline that fires at an exact iteration, without timing
+// luck.
+type flipCtx struct {
+	context.Context
+	k, calls int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls > c.k {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// /v1/mixed honours its deadline mid-solve: the solve stops at the
+// iteration where the deadline fires and answers 504 naming it, and a
+// completed mixed solve feeds the solver phase totals.
+func TestMixedDeadlineStopsMidSolve(t *testing.T) {
+	req := Request{Instance: mixedFromPack(t, denseInstance(t, 6, 8, 111)), Eps: 0.2, Seed: 5}
+	const k = 4
+	if full := solveMixedDirect(t, &req); full.Iterations <= k {
+		t.Fatalf("uncancelled solve runs %d iterations, want more than %d", full.Iterations, k)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var ctx *flipCtx
+	s.testHookSolveCtx = func(parent context.Context) context.Context {
+		ctx = &flipCtx{Context: parent, k: k}
+		return ctx
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/mixed", &req)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+	}
+	if want := fmt.Sprintf("iteration %d: %v", k, context.DeadlineExceeded); !strings.Contains(string(body), want) {
+		t.Fatalf("body %s does not name %q", body, want)
+	}
+	if ctx.calls != k+1 {
+		t.Fatalf("solver checked the deadline %d times, want %d", ctx.calls, k+1)
+	}
+	if st := s.Stats(); st.Cancelled != 1 || st.SolverIterations != 0 {
+		t.Fatalf("cancelled %d, recorded iterations %d; want 1 and 0", st.Cancelled, st.SolverIterations)
+	}
+
+	s.testHookSolveCtx = nil
+	resp, body = postJSON(t, ts.URL+"/v1/mixed", &req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	st := s.Stats()
+	if got := resp.Header.Get("X-Psdpd-Iterations"); got != fmt.Sprint(st.SolverIterations) {
+		t.Fatalf("X-Psdpd-Iterations %s, solver iteration total %d", got, st.SolverIterations)
+	}
+	if st.SolverOracleNS <= 0 || st.SolverUpdateNS <= 0 || st.SolverBookkeepNS <= 0 {
+		t.Fatalf("mixed solve recorded no phase time: %+v", st)
 	}
 }

@@ -248,6 +248,9 @@ type Server struct {
 	// immediately before each solve. Tests use it to hold solves open
 	// deterministically (dedup, queue-overflow).
 	testHookBeforeSolve func()
+	// testHookSolveCtx, when non-nil, wraps the context each solve runs
+	// under. Tests use it to stop a solve at an exact iteration.
+	testHookSolveCtx func(context.Context) context.Context
 }
 
 // New starts a Server (its worker pool begins running immediately).
@@ -829,6 +832,9 @@ func (s *Server) solveClosure(b *built, inst *instio.Instance, key digest, recor
 	return func(ctx context.Context, ws *work.Workspace) (any, error) {
 		if s.testHookBeforeSolve != nil {
 			s.testHookBeforeSolve()
+		}
+		if s.testHookSolveCtx != nil {
+			ctx = s.testHookSolveCtx(ctx)
 		}
 		s.stats.solves.Add(1)
 		start := time.Now()
