@@ -164,9 +164,8 @@ func Solve(p *Problem, eps float64, opts Options) (*Result, error) {
 	if p == nil || p.Pack == nil || p.Cover == nil {
 		return nil, errors.New("mixed: nil problem")
 	}
-	if opts.MaxIter < 0 {
-		return nil, fmt.Errorf("mixed: Options.MaxIter = %d must be >= 0", opts.MaxIter)
-	}
+	// core.Options.Validate rejects what Decision rejects (a negative
+	// MaxIter, unknown engine and oracle kinds).
 	run, err := core.RunMixed(p.Pack, p.Cover, eps, core.Options{
 		Engine:    opts.Engine,
 		Oracle:    opts.Oracle,
