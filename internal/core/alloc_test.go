@@ -376,10 +376,8 @@ func TestWorkspaceReuseAcrossFactoredCalls(t *testing.T) {
 // the oracle update — performs ZERO heap allocations, dense and
 // factored-JL, under both engines. (A coordinate's cap λ_max is
 // computed once, the first time it crosses its guard; these instances
-// cross no guard while being measured. The factored set has factors of
-// at most four columns, as in TestFactoredJLDecisionStepConstAlloc:
-// CSC.SketchDot reduces wider factors through parallel.SumBlocks,
-// which allocates in Decision and mixed runs alike.)
+// cross no guard while being measured. TestWideFactorStepZeroAlloc
+// covers factors wider than one SketchDot reduction block.)
 func TestMixedStepZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(601, 602))
 	lp, err := gen.MixedCoveringLP(12, 10, 4, 0.5, rng)
@@ -405,37 +403,94 @@ func TestMixedStepZeroAlloc(t *testing.T) {
 	for _, set := range []ConstraintSet{dense, fact.WithScale(0.05)} {
 		for _, eng := range []EngineKind{EngineMMW, EngineALO} {
 			t.Run(fmt.Sprintf("%T/%v", set, eng), func(t *testing.T) {
-				ws := work.New()
-				opts := Options{Engine: eng, Seed: 3, SketchEps: 0.4, MaxIter: 20, Workspace: ws}
-				if _, err := RunMixed(set, cover, 0.2, opts, nil); err != nil {
-					t.Fatal(err)
-				}
-				warm := ws.Misses()
-				opts.MaxIter = 0
-				d, err := newMixedRun(set, cover, 0.2, opts, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 6; i++ {
-					if err := d.step(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				allocs := testing.AllocsPerRun(100, func() {
-					if err := d.step(); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if d.done {
-					t.Fatalf("run terminated during measurement after %d iterations", d.t)
-				}
-				if allocs != 0 {
-					t.Errorf("steady-state mixed iteration allocates %.2f per run, want 0", allocs)
-				}
-				if got := ws.Misses(); got != warm {
-					t.Errorf("the second mixed run missed the shared workspace's pools %d times, want 0", got-warm)
-				}
+				checkMixedStepZeroAlloc(t, set, cover, eng)
 			})
 		}
 	}
+}
+
+// checkMixedStepZeroAlloc runs one mixed solve on a fresh workspace,
+// then measures steady-state steps of a second run on it: zero
+// allocations per step and no pool miss.
+func checkMixedStepZeroAlloc(t *testing.T, set ConstraintSet, cover *matrix.Dense, eng EngineKind) {
+	t.Helper()
+	ws := work.New()
+	opts := Options{Engine: eng, Seed: 3, SketchEps: 0.4, MaxIter: 20, Workspace: ws}
+	if _, err := RunMixed(set, cover, 0.2, opts, nil); err != nil {
+		t.Fatal(err)
+	}
+	warm := ws.Misses()
+	opts.MaxIter = 0
+	d, err := newMixedRun(set, cover, 0.2, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := d.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d.done {
+		t.Fatalf("run terminated during measurement after %d iterations", d.t)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state mixed iteration allocates %.2f per run, want 0", allocs)
+	}
+	if got := ws.Misses(); got != warm {
+		t.Errorf("the second mixed run missed the shared workspace's pools %d times, want 0", got-warm)
+	}
+}
+
+// Factors of six columns span two SketchDot reduction blocks, whose
+// sums CSC.SketchDot replays in place below its fork grain: a
+// steady-state factored-JL step, mixed under both engines and Decision,
+// performs ZERO heap allocations.
+func TestWideFactorStepZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewPCG(603, 604))
+	lp, err := gen.MixedCoveringLP(12, 10, 4, 0.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := gen.RandomFactored(12, 24, 6, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewFactoredSet(inst.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover := matrix.New(lp.C.R, lp.C.C)
+	matrix.VecScale(cover.Data, 0.05, lp.C.Data)
+	for _, eng := range []EngineKind{EngineMMW, EngineALO} {
+		t.Run(fmt.Sprintf("mixed/%v", eng), func(t *testing.T) {
+			checkMixedStepZeroAlloc(t, wide.WithScale(0.02), cover, eng)
+		})
+	}
+	t.Run("decision", func(t *testing.T) {
+		d, err := newDecisionRun(wide.WithScale(0.02), 0.25, Options{Seed: 2, SketchEps: 0.4, TheoryExact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if err := d.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := d.step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if d.done {
+			t.Fatalf("run terminated during measurement after %d iterations", d.t)
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state wide-factor Decision iteration allocates %.2f per run, want 0", allocs)
+		}
+	})
 }

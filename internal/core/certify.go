@@ -51,19 +51,26 @@ func VerifyDual(set ConstraintSet, x []float64, tol float64) (*DualCertificate, 
 // LambdaMaxPsi computes a certificate-grade λ_max(Σ xᵢAᵢ) for any set
 // and vector, independent of any oracle state: exact eigendecomposition
 // for dense sets, converged fully-reorthogonalized Lanczos otherwise.
+// An operator set loads Ψ(x) once into one scratch buffer, so the
+// Lanczos applies allocate nothing; their results are bitwise
+// ApplyPsi's.
 func LambdaMaxPsi(set ConstraintSet, x []float64) (float64, error) {
+	apply := func(in, out []float64) { set.ApplyPsi(x, in, out) }
 	switch s := set.(type) {
 	case *DenseSet:
 		return eigen.LambdaMax(s.PsiDense(x))
-	default:
-		return eigen.LanczosMax(func(in, out []float64) {
-			set.ApplyPsi(x, in, out)
-		}, set.Dim(), eigen.LanczosOpts{
-			MaxIter: 256,
-			Tol:     1e-12,
-			Rng:     rand.New(rand.NewPCG(0xcafe, 0xf00d)),
-		})
+	case PsiOperator:
+		nc := s.PsiCoefLen()
+		buf := make([]float64, nc+s.PsiScratchLen())
+		coef, tmp := buf[:nc], buf[nc:]
+		s.LoadPsi(x, coef)
+		apply = func(in, out []float64) { s.ApplyPsiBlock(coef, in, out, tmp, 1) }
 	}
+	return eigen.LanczosMax(apply, set.Dim(), eigen.LanczosOpts{
+		MaxIter: 256,
+		Tol:     1e-12,
+		Rng:     rand.New(rand.NewPCG(0xcafe, 0xf00d)),
+	})
 }
 
 // PrimalCertificate is the verification report for a covering matrix.

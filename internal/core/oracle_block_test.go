@@ -82,15 +82,15 @@ func midRunX(tb testing.TB, set PsiOperator) []float64 {
 }
 
 // perRowRatios is the per-row form of the operator oracles' ratio
-// computation: one ExpMVInto per start vector (rows of starts, or the
-// standard basis when starts is nil) over an ApplyPsiScratch closure,
+// computation, independent of the loaded-coefficient block path: one
+// ExpMVInto per start vector (rows of starts, or the standard basis
+// when starts is nil) over the vector ApplyPsi with an explicit ×½,
 // each row rescaled to the common maximum log-scale, then the trace
 // estimate and ExpDots numerators.
 func perRowRatios(set PsiOperator, x []float64, starts *matrix.Dense, rows int, normHalf, tol float64) ([]float64, float64) {
 	m := set.Dim()
-	tmp := make([]float64, set.PsiScratchLen())
 	half := func(in, out []float64) {
-		set.ApplyPsiScratch(x, in, out, tmp)
+		set.ApplyPsi(x, in, out)
 		for i := range out {
 			out[i] *= 0.5
 		}
@@ -212,5 +212,58 @@ func BenchmarkOperatorRatios(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// LambdaMaxPsi loads Ψ(x) once and runs its Lanczos on the k = 1 block
+// apply: λ must be bitwise what the vector ApplyPsi gives, and the
+// allocations beyond Lanczos's own must not grow with the Krylov depth
+// (the vector ApplyPsi allocates its scratch on every apply).
+func TestLambdaMaxPsiLoadsOnce(t *testing.T) {
+	for _, fam := range opFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			set, err := fam.build(rand.New(rand.NewPCG(71, 72)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := midRunX(t, set)
+			opts := func() eigen.LanczosOpts {
+				return eigen.LanczosOpts{MaxIter: 256, Tol: 1e-12, Rng: rand.New(rand.NewPCG(0xcafe, 0xf00d))}
+			}
+			applies := 0
+			want, err := eigen.LanczosMax(func(in, out []float64) {
+				applies++
+				set.ApplyPsi(x, in, out)
+			}, set.Dim(), opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := LambdaMaxPsi(set, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("LambdaMaxPsi = %v, ApplyPsi Lanczos %v", got, want)
+			}
+			if applies < 8 {
+				t.Fatalf("Lanczos ran %d applies; the allocation check needs a deeper basis", applies)
+			}
+			coef := make([]float64, set.PsiCoefLen())
+			set.LoadPsi(x, coef)
+			tmp := make([]float64, set.PsiScratchLen())
+			lanczosOwn := testing.AllocsPerRun(5, func() {
+				if _, err := eigen.LanczosMax(func(in, out []float64) { set.ApplyPsiBlock(coef, in, out, tmp, 1) }, set.Dim(), opts()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			total := testing.AllocsPerRun(5, func() {
+				if _, err := LambdaMaxPsi(set, x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if extra := total - lanczosOwn; extra > 2 {
+				t.Errorf("LambdaMaxPsi allocates %.0f beyond Lanczos's own %.0f over %d applies, want at most 2", extra, lanczosOwn, applies)
+			}
+		})
 	}
 }

@@ -25,18 +25,21 @@ import (
 // opScratch is the per-run reusable state both operator oracles share:
 // reseedable randomness (one PCG reseeded per use instead of a fresh
 // generator per iteration — the streams are bitwise identical), the
-// ratio vector, the Lanczos workspace, the two Ψ-apply closures — the
-// vector Ψ·v of Lanczos and the block (Ψ/2)·V of the exponential — and
-// the lockstep ExpMV block: the k chains of one ratios call (sketch
-// rows or basis vectors) stored interleaved, entry i of chain c at
-// i·k+c, so every Taylor term is one sparse-times-block product.
+// ratio vector, the Lanczos workspace, the one Ψ-apply closure — Ψ·V
+// over an interleaved block, k = 1 for Lanczos — and the lockstep ExpMV
+// block: the k chains of one ratios call (sketch rows or basis vectors)
+// stored interleaved, entry i of chain c at i·k+c, so every Taylor term
+// is one sparse-times-block product.
+//
+// Ψ(x) is fixed for one oracle call, so each call loads its
+// coefficients once (load) and every apply after that reads them.
 //
 // The whole bundle round-trips through the workspace stash between
-// decision calls, so the closures and buffers are built once per
-// workspace instead of once per Decision call. The closures read the
-// operator and the current dual vector through a shared holder at call
+// decision calls, so the closure and buffers are built once per
+// workspace instead of once per Decision call. The closure reads the
+// operator and its loaded coefficients through a shared holder at call
 // time, so a restored bundle rebinds to the new oracle by overwriting
-// two holder fields — no closure is ever rebuilt. The block buffers are
+// one holder field — the closure is never rebuilt. The buffers are
 // sized on first use and grow to the widest block they serve: the JL
 // and exact oracles of one decision run share a stash key and may swap
 // bundles between calls.
@@ -45,32 +48,29 @@ type opScratch struct {
 	pcg     *rand.PCG
 	rng     *rand.Rand
 	r       []float64 // ratio buffer returned by ratios
-	psiTmp  []float64 // Ψ·v column scratch of the Lanczos closure
 	lws     eigen.LanczosWS
-	applyFn func(in, out []float64) // Ψ·v (Lanczos)
-	halfFn  func(in, out []float64) // (Ψ/2)·V over an interleaved block
+	applyFn func(in, out []float64) // Ψ·V over len(in)/Dim() interleaved vectors
 
 	in, out []float64 // m·k start vectors and results of the chains
 	logs    []float64 // k per-chain log-scales
 	mv      expm.MVScratch
 }
 
-// opHolder is the indirection the stashed closures read through: the
-// operator, a pointer to the owning oracle's dual vector, and the
-// block Ψ-apply scratch (k·PsiScratchLen() entries). Stashing nils the
-// first two (so the instance is not retained across runs); restoring
-// points them at the new owner.
+// opHolder is the indirection the stashed closure reads through: the
+// operator, its coefficients as last loaded, and the block Ψ-apply
+// scratch (k·PsiScratchLen() entries). Stashing nils the operator (so
+// the instance is not retained across runs); restoring points it at the
+// new owner's.
 type opHolder struct {
-	set      PsiOperator
-	xp       *[]float64
-	blockTmp []float64
+	set       PsiOperator
+	coef, tmp []float64
 }
 
 // opStashKey identifies the shape of a stashed opScratch bundle. Two
 // bundles are interchangeable exactly when every fixed buffer length
-// matches: n (ratio vector), dim (Lanczos and ExpMV vectors), scratch
-// (Ψ-apply column scratch).
-type opStashKey struct{ n, dim, scratch int }
+// matches: n (ratio vector) and dim (Lanczos and ExpMV vectors); the
+// coefficient and apply scratch are resized on use.
+type opStashKey struct{ n, dim int }
 
 func (sc *opScratch) ready() bool { return sc.pcg != nil }
 
@@ -81,42 +81,60 @@ func (sc *opScratch) ready() bool { return sc.pcg != nil }
 // per-iteration refresh depth lanczosIter, with rows pooled in ws, so
 // steady-state λ_max refreshes never allocate, however slowly they
 // converge.
-func (sc *opScratch) init(set PsiOperator, ws *work.Workspace, lanczosIter int, xp *[]float64) {
-	key := opStashKey{set.N(), set.Dim(), set.PsiScratchLen()}
+func (sc *opScratch) init(set PsiOperator, ws *work.Workspace, lanczosIter int) {
+	key := opStashKey{set.N(), set.Dim()}
 	if v, ok := ws.TakeStash(key); ok {
 		*sc = *v.(*opScratch)
 		sc.hold.set = set
-		sc.hold.xp = xp
 		sc.lws.Prewarm(ws, set.Dim(), lanczosIter)
 		return
 	}
-	hold := &opHolder{set: set, xp: xp}
+	hold := &opHolder{set: set}
 	sc.hold = hold
 	sc.pcg = &rand.PCG{}
 	sc.rng = rand.New(sc.pcg)
 	sc.r = make([]float64, set.N())
-	sc.psiTmp = make([]float64, set.PsiScratchLen())
 	sc.lws.Prewarm(ws, set.Dim(), lanczosIter)
-	tmp := sc.psiTmp
-	sc.applyFn = func(in, out []float64) { hold.set.ApplyPsiScratch(*hold.xp, in, out, tmp) }
-	sc.halfFn = func(in, out []float64) {
+	sc.applyFn = func(in, out []float64) {
 		k := len(in) / hold.set.Dim()
-		hold.set.ApplyPsiBlock(*hold.xp, in, out, hold.blockTmp, k)
-		for i := range out {
-			out[i] *= 0.5
-		}
+		hold.set.ApplyPsiBlock(hold.coef, in, out, hold.tmp, k)
 	}
 }
 
+// load fixes Ψ(x) for the oracle call about to run: the coefficients
+// every apply of the call reads, and apply scratch for k vectors.
+func (sc *opScratch) load(x []float64, k int) {
+	h := sc.hold
+	h.coef = work.Resize(h.coef, h.set.PsiCoefLen())
+	h.set.LoadPsi(x, h.coef)
+	h.tmp = work.Resize(h.tmp, k*h.set.PsiScratchLen())
+}
+
+// lanczos estimates λ_max of the loaded Ψ from the reseeded stream
+// (s1, s2), with the basis in the prewarmed workspace.
+func (sc *opScratch) lanczos(s1, s2 uint64, maxIter int, tol float64) (float64, error) {
+	sc.pcg.Seed(s1, s2)
+	return eigen.LanczosMax(sc.applyFn, sc.hold.set.Dim(), eigen.LanczosOpts{
+		MaxIter: maxIter, Tol: tol, Rng: sc.rng, WS: &sc.lws,
+	})
+}
+
+// certLambda is the certificate-grade λ_max(Ψ(x)) of both operator
+// oracles: tight tolerance, many iterations, full reorthogonalization.
+func (sc *opScratch) certLambda(x []float64, seed uint64) (float64, error) {
+	sc.load(x, 1)
+	return sc.lanczos(seed^0x5eed, 0x7ea1, 256, 1e-12)
+}
+
 // expHalf runs k lockstep ExpMV chains through exp(Ψ/2), one per row
-// of dst: chain c starts from row c of starts (nil: the standard basis
-// vector e_c), and row c of dst receives its result rescaled from the
-// chain's own log-scale to the common maximum, which expHalf returns.
+// of dst, over the coefficients loaded for k vectors: chain c starts
+// from row c of starts (nil: the standard basis vector e_c), and row c
+// of dst receives its result rescaled from the chain's own log-scale to
+// the common maximum, which expHalf returns.
 func (sc *opScratch) expHalf(dst, starts *matrix.Dense, normHalf, tol float64) float64 {
 	k, m := dst.R, dst.C
 	in := work.Resize(sc.in, m*k)
 	sc.in, sc.out, sc.logs = in, work.Resize(sc.out, m*k), work.Resize(sc.logs, k)
-	sc.hold.blockTmp = work.Resize(sc.hold.blockTmp, k*len(sc.psiTmp))
 	for i := 0; i < m; i++ {
 		for c := 0; c < k; c++ {
 			if starts != nil {
@@ -128,7 +146,7 @@ func (sc *opScratch) expHalf(dst, starts *matrix.Dense, normHalf, tol float64) f
 			}
 		}
 	}
-	expm.ExpMVBlockInto(sc.out, sc.logs, sc.halfFn, in, normHalf, tol, &sc.mv)
+	expm.ExpMVBlockInto(sc.out, sc.logs, sc.applyFn, in, 0.5, normHalf, tol, &sc.mv)
 	maxLog := sc.logs[0]
 	for _, l := range sc.logs[1:] {
 		if l > maxLog {
@@ -155,17 +173,17 @@ const (
 
 // release returns the Lanczos basis rows to ws and stashes the whole
 // bundle for the next same-shaped init; the scratch reverts to its
-// unbuilt state. The closures' scratch stays inside the bundle — it is
-// captured by the closures, so handing it to the vector pool would let
-// an unrelated borrower alias it. Stashing nils the holder so the
-// operator instance is not retained across runs.
+// unbuilt state. The closure's scratch stays inside the bundle — it is
+// read by the closure, so handing it to the vector pool would let an
+// unrelated borrower alias it. Stashing nils the holder's operator so
+// the instance is not retained across runs.
 func (sc *opScratch) release(ws *work.Workspace) {
 	if sc.pcg == nil {
 		return
 	}
 	sc.lws.ReleaseBasis(ws)
-	key := opStashKey{len(sc.r), sc.hold.set.Dim(), len(sc.psiTmp)}
-	sc.hold.set, sc.hold.xp = nil, nil
+	key := opStashKey{len(sc.r), sc.hold.set.Dim()}
+	sc.hold.set = nil
 	st := new(opScratch)
 	*st = *sc
 	ws.Stash(key, st)
@@ -236,7 +254,7 @@ func (o *opJLOracle) init(x []float64) error {
 	o.x = x
 	o.lambdaEst = 0
 	if !o.sc.ready() {
-		o.sc.init(o.set, o.ws, jlLanczosIter, &o.x)
+		o.sc.init(o.set, o.ws, jlLanczosIter)
 		o.s = o.ws.Mat(o.rows, o.set.Dim())
 	}
 	return nil
@@ -252,13 +270,7 @@ func (o *opJLOracle) update(_ []int, _ []float64, x []float64) error {
 // segmentation bound (undershooting only lengthens the Taylor series a
 // little, it does not break correctness).
 func (o *opJLOracle) refreshLambda() error {
-	o.sc.pcg.Seed(o.seed^0xabcdef, o.iter)
-	lam, err := eigen.LanczosMax(o.sc.applyFn, o.set.Dim(), eigen.LanczosOpts{
-		MaxIter: jlLanczosIter,
-		Tol:     1e-6,
-		Rng:     o.sc.rng,
-		WS:      &o.sc.lws,
-	})
+	lam, err := o.sc.lanczos(o.seed^0xabcdef, o.iter, jlLanczosIter, 1e-6)
 	if err != nil {
 		return err
 	}
@@ -274,6 +286,7 @@ func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
 	if o.ph != nil {
 		mark = time.Now()
 	}
+	o.sc.load(o.x, o.rows)
 	if err := o.refreshLambda(); err != nil {
 		return nil, oracleInfo{}, err
 	}
@@ -374,21 +387,7 @@ func sumSquaresSeg(a []float64, lo, hi int) float64 {
 	return s
 }
 
-// lambdaMaxPsi runs a certificate-grade Lanczos (tight tolerance, many
-// iterations, full reorthogonalization).
-func (o *opJLOracle) lambdaMaxPsi() (float64, error) {
-	o.sc.pcg.Seed(o.seed^0x5eed, 0x7ea1)
-	lam, err := eigen.LanczosMax(o.sc.applyFn, o.set.Dim(), eigen.LanczosOpts{
-		MaxIter: 256,
-		Tol:     1e-12,
-		Rng:     o.sc.rng,
-		WS:      &o.sc.lws,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return lam, nil
-}
+func (o *opJLOracle) lambdaMaxPsi() (float64, error) { return o.sc.certLambda(o.x, o.seed) }
 
 func (o *opJLOracle) probability() *matrix.Dense { return nil }
 
@@ -440,7 +439,7 @@ func (o *opExactOracle) init(x []float64) error {
 	o.x = x
 	if !o.sc.ready() {
 		m := o.set.Dim()
-		o.sc.init(o.set, o.ws, exactLanczosIter, &o.x)
+		o.sc.init(o.set, o.ws, exactLanczosIter)
 		o.cols = o.ws.Mat(m, m)
 	}
 	return nil
@@ -456,12 +455,8 @@ func (o *opExactOracle) ratios() ([]float64, oracleInfo, error) {
 	if o.ph != nil {
 		mark = time.Now()
 	}
-	o.sc.pcg.Seed(o.seed, 0xfeed)
-	lam, err := eigen.LanczosMax(o.sc.applyFn, o.set.Dim(), eigen.LanczosOpts{
-		MaxIter: exactLanczosIter, Tol: 1e-8,
-		Rng: o.sc.rng,
-		WS:  &o.sc.lws,
-	})
+	o.sc.load(o.x, o.set.Dim())
+	lam, err := o.sc.lanczos(o.seed, 0xfeed, exactLanczosIter, 1e-8)
 	if err != nil {
 		return nil, oracleInfo{}, err
 	}
@@ -497,14 +492,7 @@ func (o *opExactOracle) ratios() ([]float64, oracleInfo, error) {
 	return r, oracleInfo{LambdaMax: o.lambdaEst, LogTrW: 2*maxLog + math.Log(trEst)}, nil
 }
 
-func (o *opExactOracle) lambdaMaxPsi() (float64, error) {
-	o.sc.pcg.Seed(o.seed^0x5eed, 0x7ea1)
-	return eigen.LanczosMax(o.sc.applyFn, o.set.Dim(), eigen.LanczosOpts{
-		MaxIter: 256, Tol: 1e-12,
-		Rng: o.sc.rng,
-		WS:  &o.sc.lws,
-	})
-}
+func (o *opExactOracle) lambdaMaxPsi() (float64, error) { return o.sc.certLambda(o.x, o.seed) }
 
 func (o *opExactOracle) probability() *matrix.Dense { return nil }
 

@@ -65,19 +65,24 @@ type ConstraintSet interface {
 // is requested.
 type PsiOperator interface {
 	ConstraintSet
-	// PsiScratchLen is the scratch length ApplyPsiScratch requires.
+	// PsiCoefLen is the length of the coefficient vector LoadPsi fills.
+	PsiCoefLen() int
+	// LoadPsi writes into coef (length PsiCoefLen()) the coefficients
+	// of Ψ(x) = Scale()·Σᵢ xᵢAᵢ that ApplyPsiBlock reads: the per-call
+	// load, after which every apply costs one multiply-add per stored
+	// entry and vector.
+	LoadPsi(x, coef []float64)
+	// PsiScratchLen is the per-vector scratch length ApplyPsiBlock
+	// requires.
 	PsiScratchLen() int
-	// ApplyPsiScratch is ApplyPsi with caller scratch of length
-	// PsiScratchLen(): the zero-allocation Ψ·v the ExpMV and Lanczos
-	// closures are built on.
-	ApplyPsiScratch(x, in, out, tmp []float64)
-	// ApplyPsiBlock is ApplyPsiScratch over a block of k vectors stored
-	// interleaved (entry i of vector c at in[i·k+c], likewise out), with
-	// scratch tmp of length k·PsiScratchLen(): the one product per
-	// Taylor term that advances the oracles' k ExpMV chains in
-	// lockstep. Each vector's result must be bitwise what
-	// ApplyPsiScratch returns for it alone.
-	ApplyPsiBlock(x, in, out, tmp []float64, k int)
+	// ApplyPsiBlock computes out = Ψ·in for the loaded coef over a
+	// block of k vectors stored interleaved (entry i of vector c at
+	// in[i·k+c], likewise out), with scratch tmp of length
+	// k·PsiScratchLen(): the one allocation-free product per Taylor
+	// term that advances the oracles' k ExpMV chains in lockstep, and
+	// the k = 1 Ψ·v of Lanczos. Each vector's result must be bitwise
+	// what ApplyPsi returns for it alone.
+	ApplyPsiBlock(coef, in, out, tmp []float64, k int)
 	// ExpDots writes r[i] = Scale()·Σ_rows s_rᵀ·Aᵢ·s_r for the dense
 	// row-block matrix s — the unnormalized bigDotExp numerators
 	// Aᵢ • SᵀS (S = rows of s through exp(Ψ/2)). Each r[i] must be a
@@ -287,15 +292,10 @@ func (s *FactoredSet) WithScale(f float64) ConstraintSet {
 func (s *FactoredSet) NNZ() int { return s.nnz }
 
 // ApplyPsi computes out = (Σᵢ xᵢ QᵢQᵢᵀ)·in (scaled) in O(q) work via the
-// flattened factor matrix.
+// flattened factor matrix: the per-column products Qᵀin, each scaled by
+// its constraint's coefficient, then one Q·(scaled Qᵀin) pass.
 func (s *FactoredSet) ApplyPsi(x, in, out []float64) {
-	s.applyPsiTmp(x, in, out, make([]float64, s.flat.C))
-}
-
-// applyPsiTmp is ApplyPsi with caller scratch of length psiScratchLen():
-// the per-column products Qᵀin land in tmp, so the O(q) matvec at the
-// heart of every ExpMV term allocates nothing.
-func (s *FactoredSet) applyPsiTmp(x, in, out, tmp []float64) {
+	tmp := make([]float64, s.flat.C)
 	s.flat.TMulVecInto(tmp, in) // Qᵀin per flat column
 	for c := range tmp {
 		tmp[c] *= s.scale * x[s.col2con[c]]
@@ -306,31 +306,28 @@ func (s *FactoredSet) applyPsiTmp(x, in, out, tmp []float64) {
 	s.flat.MulVecAdd(out, 1, tmp)
 }
 
-// psiScratchLen is the scratch length applyPsiTmp requires.
-func (s *FactoredSet) psiScratchLen() int { return s.flat.C }
+// PsiCoefLen implements PsiOperator: one coefficient per flat column.
+func (s *FactoredSet) PsiCoefLen() int { return s.flat.C }
 
-// PsiScratchLen is the scratch length ApplyPsiScratch requires.
-func (s *FactoredSet) PsiScratchLen() int { return s.psiScratchLen() }
-
-// ApplyPsiScratch is ApplyPsi with caller scratch: the zero-allocation
-// Ψ·v of the operator oracles.
-func (s *FactoredSet) ApplyPsiScratch(x, in, out, tmp []float64) {
-	s.applyPsiTmp(x, in, out, tmp)
+// LoadPsi implements PsiOperator: coef[c] = Scale()·x[con] for the
+// constraint con owning flat column c.
+func (s *FactoredSet) LoadPsi(x, coef []float64) {
+	for c, con := range s.col2con {
+		coef[c] = s.scale * x[con]
+	}
 }
 
-// ApplyPsiBlock implements PsiOperator: the block forms of the two
-// sparse passes of applyPsiTmp, Qᵀ·in into tmp (C·k entries) and then
-// Q·tmp, so each flat column is read once per pass for all k vectors.
-func (s *FactoredSet) ApplyPsiBlock(x, in, out, tmp []float64, k int) {
+// PsiScratchLen implements PsiOperator: Qᵀ·in takes one entry per flat
+// column and vector.
+func (s *FactoredSet) PsiScratchLen() int { return s.flat.C }
+
+// ApplyPsiBlock implements PsiOperator: the block forms of ApplyPsi's
+// two sparse passes, Qᵀ·in scaled by coef as it is stored into tmp
+// (C·k entries) and then Q·tmp, so each flat column is read once per
+// pass for all k vectors.
+func (s *FactoredSet) ApplyPsiBlock(coef, in, out, tmp []float64, k int) {
 	tmp = tmp[:s.flat.C*k]
-	s.flat.TMulBlockInto(tmp, in, k)
-	for c, con := range s.col2con {
-		f := s.scale * x[con]
-		tc := tmp[c*k : (c+1)*k]
-		for j := range tc {
-			tc[j] *= f
-		}
-	}
+	s.flat.TMulBlockInto(tmp, in, coef, k)
 	for j := range out {
 		out[j] = 0
 	}

@@ -86,31 +86,33 @@ func (s *SparseSet) WithScale(f float64) ConstraintSet {
 // NNZ returns q, the total stored nonzeros across constraints.
 func (s *SparseSet) NNZ() int { return s.nnz }
 
-// ApplyPsi computes out = (Σᵢ xᵢAᵢ)·in (scaled) in O(q) work.
+// ApplyPsi computes out = (Σᵢ xᵢAᵢ)·in (scaled) in O(q) work: the
+// scaled coefficients, then one stacked pass.
 func (s *SparseSet) ApplyPsi(x, in, out []float64) {
-	s.ApplyPsiScratch(x, in, out, make([]float64, len(x)))
-}
-
-// PsiScratchLen is the scratch length ApplyPsiScratch requires (n, for
-// the scaled coefficient vector).
-func (s *SparseSet) PsiScratchLen() int { return len(s.A) }
-
-// ApplyPsiScratch is ApplyPsi with caller scratch: the scaled
-// coefficients land in tmp and one stacked O(q) pass accumulates the
-// matvec, so the Ψ·v at the heart of every ExpMV term allocates
-// nothing.
-func (s *SparseSet) ApplyPsiScratch(x, in, out, tmp []float64) {
+	tmp := make([]float64, len(x))
 	matrix.VecScale(tmp, s.scale, x)
 	s.stack.AccumulateScaled(out, tmp, in)
 }
 
-// ApplyPsiBlock implements PsiOperator: the scaled coefficients land in
-// tmp[:n] and one stacked O(q) pass accumulates Ψ·v for all k
-// interleaved vectors.
-func (s *SparseSet) ApplyPsiBlock(x, in, out, tmp []float64, k int) {
-	tmp = tmp[:len(s.A)]
-	matrix.VecScale(tmp, s.scale, x)
-	s.stack.AccumulateScaledBlock(out, tmp, in, k)
+// PsiCoefLen implements PsiOperator: one coefficient per stacked entry.
+func (s *SparseSet) PsiCoefLen() int { return s.stack.NNZ() }
+
+// LoadPsi implements PsiOperator: coef[p] = Val[p]·(Scale()·x[Con[p]])
+// for every stacked entry p, the weight ApplyPsi forms on every pass.
+func (s *SparseSet) LoadPsi(x, coef []float64) {
+	st := s.stack
+	for p, con := range st.Con {
+		coef[p] = st.Val[p] * (s.scale * x[con])
+	}
+}
+
+// PsiScratchLen implements PsiOperator: the stacked pass needs none.
+func (s *SparseSet) PsiScratchLen() int { return 0 }
+
+// ApplyPsiBlock implements PsiOperator: one stacked O(q) pass
+// accumulates Ψ·v for all k interleaved vectors.
+func (s *SparseSet) ApplyPsiBlock(coef, in, out, _ []float64, k int) {
+	s.stack.ApplyCoefBlock(out, coef, in, k)
 }
 
 // ExpDots implements PsiOperator: r[i] = scale·Σ_rows s_rᵀ·Aᵢ·s_r, the

@@ -116,7 +116,7 @@ func checkBlock(t *testing.T, apply func(in, out []float64), chains [][]float64,
 	dst := make([]float64, m*k)
 	logs := make([]float64, k)
 	var sc MVScratch
-	ExpMVBlockInto(dst, logs, blockApply(m, k, apply), v, normUB, tol, &sc)
+	ExpMVBlockInto(dst, logs, blockApply(m, k, apply), v, 1, normUB, tol, &sc)
 	counts := make([]int, k)
 	for c, ch := range chains {
 		want := make([]float64, m)
@@ -210,5 +210,96 @@ func TestExpMVBlockLengthMismatchPanics(t *testing.T) {
 			t.Fatal("block of 7 entries over 2 chains did not panic")
 		}
 	}()
-	ExpMVBlockInto(make([]float64, 7), make([]float64, 2), func(in, out []float64) {}, make([]float64, 7), 1, 0, nil)
+	ExpMVBlockInto(make([]float64, 7), make([]float64, 2), func(in, out []float64) {}, make([]float64, 7), 1, 1, 0, nil)
+}
+
+// halveApply is apply followed by an explicit ×½ pass: the form the
+// operator oracles used for exp(Ψ/2) before t entered the coefficients.
+func halveApply(apply func(in, out []float64)) func(in, out []float64) {
+	return func(in, out []float64) {
+		apply(in, out)
+		for i := range out {
+			out[i] *= 0.5
+		}
+	}
+}
+
+// checkHalf runs the chains through exp(A/2) twice, as t = ½ over A and
+// as t = 1 over the halved apply, and requires bitwise-equal vectors
+// and log-scales.
+func checkHalf(t *testing.T, apply func(in, out []float64), chains [][]float64, normUB, tol float64) {
+	t.Helper()
+	k, m := len(chains), len(chains[0])
+	v := interleaveChains(chains)
+	got, gotLogs := make([]float64, m*k), make([]float64, k)
+	ExpMVBlockInto(got, gotLogs, blockApply(m, k, apply), v, 0.5, normUB, tol, nil)
+	want, wantLogs := make([]float64, m*k), make([]float64, k)
+	ExpMVBlockInto(want, wantLogs, blockApply(m, k, halveApply(apply)), v, 1, normUB, tol, nil)
+	if i := bitsEqual(got, want); i >= 0 {
+		t.Fatalf("entry %d (chain %d): t=½ gives %v, halved apply %v", i, i%k, got[i], want[i])
+	}
+	if i := bitsEqual(gotLogs, wantLogs); i >= 0 {
+		t.Fatalf("chain %d log-scale: t=½ gives %v, halved apply %v", i, gotLogs[i], wantLogs[i])
+	}
+}
+
+func interleaveChains(chains [][]float64) []float64 {
+	k, m := len(chains), len(chains[0])
+	v := make([]float64, m*k)
+	for c, ch := range chains {
+		for i, x := range ch {
+			v[i*k+c] = x
+		}
+	}
+	return v
+}
+
+// A power-of-two t folded into the Taylor coefficients is exact: every
+// chain of exp(½·A) equals, bit for bit, the chain of exp(A') over an
+// apply that halves A's output. The cases cover a zero chain, a chain
+// that converges after one term while others run on, all-active blocks
+// of eight chains (the register-blocked sum path) and normUB ≥ 16,
+// which splits the series into several segments.
+func TestExpMVBlockHalfStepMatchesHalvedApply(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 24))
+	const m = 12
+	a := randPSD(m, 5, rng)
+	big := matrix.New(m, m)
+	matrix.Scale(big, 40/a.MaxAbs(), a)
+	random := func(k int) [][]float64 {
+		cs := make([][]float64, k)
+		for c := range cs {
+			cs[c] = randVec(m, rng)
+		}
+		return cs
+	}
+	t.Run("segments", func(t *testing.T) {
+		checkHalf(t, applyDense(big), random(8), 20, 1e-12)
+	})
+	t.Run("zero-chain", func(t *testing.T) {
+		cs := random(5)
+		cs[3] = make([]float64, m)
+		checkHalf(t, applyDense(big), cs, 20, 1e-10)
+	})
+	t.Run("early-stop", func(t *testing.T) {
+		// diag(0, 2.5, …, 37.5): e₀ lies in the kernel and stops after
+		// one term; the others run through three segments.
+		d := make([]float64, 16)
+		for i := range d {
+			d[i] = 2.5 * float64(i)
+		}
+		chains := make([][]float64, 6)
+		for c := range chains {
+			chains[c] = randVec(len(d), rng)
+		}
+		chains[0] = make([]float64, len(d))
+		chains[0][0] = 1
+		var n0, n1 int
+		ExpMVInto(make([]float64, len(d)), countApply(diagApply(d), &n0), chains[0], 19, 1e-12, nil)
+		ExpMVInto(make([]float64, len(d)), countApply(diagApply(d), &n1), chains[1], 19, 1e-12, nil)
+		if n0 >= n1 {
+			t.Fatalf("kernel chain took %d applies, random chain %d; the case needs an early stop", n0, n1)
+		}
+		checkHalf(t, diagApply(d), chains, 19, 1e-12)
+	})
 }

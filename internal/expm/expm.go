@@ -16,8 +16,8 @@
 //     evaluation with running log-scale normalization, the workhorse of
 //     the operator oracles' bigDotExp path (Theorem 4.1). Cost:
 //     O(‖A‖·log(1/tol)) operator applications, each O(nnz) work.
-//     ExpMVBlockInto advances k such chains against one operator in
-//     lockstep, one block application per Taylor term.
+//     ExpMVBlockInto advances k such chains of exp(t·A) against one
+//     operator in lockstep, one block application per Taylor term.
 package expm
 
 import (
@@ -195,16 +195,21 @@ func (s *MVScratch) ensure(n, k int) {
 // the one-chain case of ExpMVBlockInto.
 func ExpMVInto(dst []float64, apply func(in, out []float64), v []float64, normUB, tol float64, sc *MVScratch) (logScale float64) {
 	var logs [1]float64
-	ExpMVBlockInto(dst, logs[:], apply, v, normUB, tol, sc)
+	ExpMVBlockInto(dst, logs[:], apply, v, 1, normUB, tol, sc)
 	return logs[0]
 }
 
-// ExpMVBlockInto advances k = len(logs) ExpMV chains against the same
-// operator in lockstep: v holds the k start vectors interleaved (entry
-// i of chain c at v[i·k+c]), apply maps such a block to its image in
-// one call, and chain c's result lands in dst with the same layout and
-// its log-scale in logs[c]. dst may not alias v; a nil sc allocates
-// fresh scratch.
+// ExpMVBlockInto advances k = len(logs) chains of exp(t·A)·v against
+// the same operator in lockstep: v holds the k start vectors
+// interleaved (entry i of chain c at v[i·k+c]), apply maps such a block
+// to its A-image in one call, and chain c's result lands in dst with
+// the same layout and its log-scale in logs[c]. normUB bounds ‖t·A‖₂.
+// dst may not alias v; a nil sc allocates fresh scratch.
+//
+// t enters only through the Taylor coefficients t/(s·j), so a power of
+// two t gives bitwise the chains of t = 1 over an apply that scales its
+// output by t (barring underflow to subnormals): the operator oracles
+// evaluate exp(Ψ/2) as t = ½ over Ψ without a scaling pass.
 //
 // Every chain keeps its own truncation test, normalization and
 // log-scale, and shares the segmentation set by normUB, so each result
@@ -215,7 +220,7 @@ func ExpMVInto(dst []float64, apply func(in, out []float64), v []float64, normUB
 // apply, then discarded), and a chain that starts or becomes exactly
 // zero keeps its current value from then on. After each apply one pass
 // over the block does the scaling, the sums and both norms.
-func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []float64, normUB, tol float64, sc *MVScratch) {
+func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []float64, t, normUB, tol float64, sc *MVScratch) {
 	if tol <= 0 {
 		tol = 1e-12
 	}
@@ -243,7 +248,8 @@ func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []floa
 		logs[c] = 0
 		live[c] = true
 	}
-	if !sc.normalize(cur, logs) {
+	nLive := sc.normalize(cur, logs)
+	if nLive == 0 {
 		return // exp(A)·0 = 0 for every chain
 	}
 
@@ -257,16 +263,11 @@ func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []floa
 		copy(sum, cur)
 		copy(term, cur)
 		copy(active, live)
-		nActive := 0
-		for _, a := range active {
-			if a {
-				nActive++
-			}
-		}
+		nActive := nLive
 		for j := 1; j <= maxTerms; j++ {
 			apply(term, next)
 			term, next = next, term
-			sc.addTerm(sum, term, invS/float64(j))
+			sc.addTerm(sum, term, t*invS/float64(j), nActive == k)
 			for c, a := range active {
 				if a && math.Sqrt(sc.termSq[c]) <= tol*math.Sqrt(sc.sumSq[c]) {
 					active[c] = false
@@ -284,7 +285,7 @@ func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []floa
 				}
 			}
 		}
-		if !sc.normalize(cur, logs) {
+		if nLive = sc.normalize(cur, logs); nLive == 0 {
 			return
 		}
 	}
@@ -294,11 +295,11 @@ func ExpMVBlockInto(dst, logs []float64, apply func(in, out []float64), v []floa
 // adds the log of its norm to logs, exactly as matrix.Normalize would
 // on the chain alone. A chain whose norm is not positive (exactly zero,
 // or NaN) stops being live, which is where the one-chain loop would
-// return. It reports whether any chain is still live.
-func (sc *MVScratch) normalize(x, logs []float64) bool {
+// return. It returns the number of chains still live.
+func (sc *MVScratch) normalize(x, logs []float64) int {
 	k := len(logs)
 	chainSumSq(sc.sumSq, sc.sumBlk, x, k)
-	anyLive := false
+	nLive := 0
 	for c, l := range sc.live {
 		if !l {
 			continue
@@ -314,18 +315,21 @@ func (sc *MVScratch) normalize(x, logs []float64) bool {
 			sc.live[c] = false
 			continue
 		}
-		anyLive = true
+		nLive++
 		logs[c] += math.Log(nrm)
 	}
-	return anyLive
+	return nLive
 }
 
 // addTerm scales the new Taylor terms of every chain by f, adds them
 // into the sums of the active chains, and leaves each chain's squared
 // 2-norms of term and sum in termSq and sumSq. Each squared norm is
 // summed over the block tree VecDot uses for a vector of the chain's
-// length, so its square root is bitwise the chain's VecNorm2.
-func (sc *MVScratch) addTerm(sum, term []float64, f float64) {
+// length, so its square root is bitwise the chain's VecNorm2. When
+// every chain is active (the common case), chains go four at a time
+// with their block partials in registers; each chain still takes its
+// rows in order, so the sums are unchanged.
+func (sc *MVScratch) addTerm(sum, term []float64, f float64, allActive bool) {
 	k := len(sc.termSq)
 	m := len(term) / k
 	blocks := parallel.BlockCount(m, 4096)
@@ -333,17 +337,34 @@ func (sc *MVScratch) addTerm(sum, term []float64, f float64) {
 	clear(tsq)
 	clear(ssq)
 	for b := 0; b < blocks; b++ {
-		clear(tb)
-		clear(sb)
-		for i := b * m / blocks * k; i < (b+1)*m/blocks*k; i += k {
+		lo, hi := b*m/blocks*k, (b+1)*m/blocks*k
+		c0 := 0
+		if allActive {
+			for ; c0+4 <= k; c0 += 4 {
+				var t0, t1, t2, t3, q0, q1, q2, q3 float64
+				for i := lo + c0; i < hi; i += k {
+					ti, si := term[i:i+4], sum[i:i+4]
+					// The conversions round each scaled term before the
+					// sum takes it: no fused multiply-add on the way in.
+					a0, a1, a2, a3 := float64(ti[0]*f), float64(ti[1]*f), float64(ti[2]*f), float64(ti[3]*f)
+					s0, s1, s2, s3 := si[0]+a0, si[1]+a1, si[2]+a2, si[3]+a3
+					ti[0], ti[1], ti[2], ti[3] = a0, a1, a2, a3
+					si[0], si[1], si[2], si[3] = s0, s1, s2, s3
+					t0, t1, t2, t3 = t0+a0*a0, t1+a1*a1, t2+a2*a2, t3+a3*a3
+					q0, q1, q2, q3 = q0+s0*s0, q1+s1*s1, q2+s2*s2, q3+s3*s3
+				}
+				tb[c0], tb[c0+1], tb[c0+2], tb[c0+3] = t0, t1, t2, t3
+				sb[c0], sb[c0+1], sb[c0+2], sb[c0+3] = q0, q1, q2, q3
+			}
+		}
+		clear(tb[c0:])
+		clear(sb[c0:])
+		for i := lo; i < hi; i += k {
 			ti, si := term[i:i+k], sum[i:i+k]
-			for c, a := range sc.active[:k] {
-				// The conversion rounds the scaled term before the sum
-				// takes it, as the separate passes did: no fused
-				// multiply-add on the way into si.
+			for c := c0; c < k; c++ {
 				t := float64(ti[c] * f)
 				ti[c] = t
-				if a {
+				if sc.active[c] {
 					si[c] += t
 				}
 				tb[c] += t * t

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -63,11 +64,15 @@ func TestTMulBlockMatchesTMulVec(t *testing.T) {
 	for c := range cols {
 		cols[c] = randVecT(q.R, rng)
 	}
+	scale := randVecT(q.C, rng)
 	out := make([]float64, q.C*k)
-	q.TMulBlockInto(out, interleave(cols), k)
+	q.TMulBlockInto(out, interleave(cols), scale, k)
 	for c, v := range cols {
 		want := make([]float64, q.C)
 		q.TMulVecInto(want, v)
+		for j := range want {
+			want[j] *= scale[j]
+		}
 		requireBits(t, "TMulBlockInto", c, column(out, k, c), want)
 	}
 }
@@ -122,17 +127,73 @@ func TestAccumulateScaledBlockMatchesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randVecT(n, rng)
+	coef := stackCoef(st, x)
 	for _, k := range []int{1, 3} {
 		vs := make([][]float64, k)
 		for c := range vs {
 			vs[c] = randVecT(m, rng)
 		}
 		out := make([]float64, m*k)
-		st.AccumulateScaledBlock(out, x, interleave(vs), k)
+		st.ApplyCoefBlock(out, coef, interleave(vs), k)
 		for c, v := range vs {
 			want := make([]float64, m)
 			st.AccumulateScaled(want, x, v)
-			requireBits(t, "AccumulateScaledBlock", c, column(out, k, c), want)
+			requireBits(t, "ApplyCoefBlock", c, column(out, k, c), want)
+		}
+	}
+}
+
+// stackCoef loads the per-entry weights Val[p]·x[Con[p]] ApplyCoefBlock
+// reads.
+func stackCoef(st *Stack, x []float64) []float64 {
+	coef := make([]float64, st.NNZ())
+	for p, con := range st.Con {
+		coef[p] = st.Val[p] * x[con]
+	}
+	return coef
+}
+
+// The loaded-coefficient kernels at every block width from 1 to 17 —
+// the eight-, four- and one-vector groups in every mix, k = 1 through
+// the single-vector paths — on a small operator (serial branch) and one
+// above the fork grain: each column must be bitwise the vector form's,
+// AccumulateScaled for the stack and TMulVecInto followed by the column
+// scaling for the factor.
+func TestCoefKernelsMatchVectorForms(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 38))
+	for _, size := range []struct{ m, n, cols int }{{12, 4, 30}, {300, 6, 700}} {
+		as := make([]*CSC, size.n)
+		for i := range as {
+			as[i] = randSymCSC(size.m, 0.05, rng)
+		}
+		st, err := NewStack(as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := randRectCSC(size.m, size.cols, 3, rng)
+		x, scale := randVecT(size.n, rng), randVecT(q.C, rng)
+		scale[0], x[0] = 0, 0
+		coef := stackCoef(st, x)
+		for k := 1; k <= 17; k++ {
+			vs := make([][]float64, k)
+			for c := range vs {
+				vs[c] = randVecT(size.m, rng)
+			}
+			v := interleave(vs)
+			acc, gath := make([]float64, size.m*k), make([]float64, q.C*k)
+			st.ApplyCoefBlock(acc, coef, v, k)
+			q.TMulBlockInto(gath, v, scale, k)
+			for c, vc := range vs {
+				want := make([]float64, size.m)
+				st.AccumulateScaled(want, x, vc)
+				requireBits(t, fmt.Sprintf("m%d k%d ApplyCoefBlock", size.m, k), c, column(acc, k, c), want)
+				want = make([]float64, q.C)
+				q.TMulVecInto(want, vc)
+				for j := range want {
+					want[j] *= scale[j]
+				}
+				requireBits(t, fmt.Sprintf("m%d k%d TMulBlockInto", size.m, k), c, column(gath, k, c), want)
+			}
 		}
 	}
 }
@@ -144,9 +205,11 @@ func TestBlockKernelsRejectBadShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, f := range map[string]func(){
-		"TMulBlockInto":         func() { q.TMulBlockInto(make([]float64, 6), make([]float64, 8), 3) },
-		"MulBlockAdd":           func() { q.MulBlockAdd(make([]float64, 8), 1, make([]float64, 5), 2) },
-		"AccumulateScaledBlock": func() { st.AccumulateScaledBlock(make([]float64, 8), []float64{1}, make([]float64, 4), 2) },
+		"TMulBlockInto":       func() { q.TMulBlockInto(make([]float64, 6), make([]float64, 8), make([]float64, 3), 3) },
+		"TMulBlockInto scale": func() { q.TMulBlockInto(make([]float64, 9), make([]float64, 12), make([]float64, 2), 3) },
+		"MulBlockAdd":         func() { q.MulBlockAdd(make([]float64, 8), 1, make([]float64, 5), 2) },
+		"ApplyCoefBlock":      func() { st.ApplyCoefBlock(make([]float64, 8), make([]float64, st.NNZ()), make([]float64, 4), 2) },
+		"ApplyCoefBlock coef": func() { st.ApplyCoefBlock(make([]float64, 8), make([]float64, st.NNZ()+1), make([]float64, 8), 2) },
 	} {
 		func() {
 			defer func() {

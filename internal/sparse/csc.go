@@ -130,23 +130,118 @@ func (m *CSC) TMulVecInto(out, v []float64) {
 	}
 	grain := 4096/avg + 1
 	if parallel.SerialBlock(m.C, grain) {
-		tMulVecCols(m, out, v, 0, m.C)
+		segDots(out, m.ColPtr, m.Row, m.Val, v, nil, 1, 0, m.C)
 		return
 	}
 	parallel.ForBlock(m.C, grain, func(lo, hi int) {
-		tMulVecCols(m, out, v, lo, hi)
+		segDots(out, m.ColPtr, m.Row, m.Val, v, nil, 1, lo, hi)
 	})
 }
 
-// tMulVecCols computes out[j] = (column j)·v for j in [lo, hi), four
-// columns at a time: while all four columns still have entries their
-// accumulation chains run interleaved, putting four independent add
-// chains in flight instead of one latency-bound chain, then each column
-// drains its remaining entries alone. Every column's sum still visits
-// its entries in ascending k order with a single accumulator, so out is
-// bitwise identical to the one-column loop.
-func tMulVecCols(m *CSC, out, v []float64, lo, hi int) {
-	cp, val, row := m.ColPtr, m.Val, m.Row
+// MulVecAdd accumulates dst += s·Q·u where u has length C.
+// Sequential over columns (columns may share rows); callers parallelize
+// at a higher level.
+func (m *CSC) MulVecAdd(dst []float64, s float64, u []float64) {
+	if len(u) != m.C || len(dst) != m.R {
+		panic("sparse: CSC.MulVecAdd dimension mismatch")
+	}
+	for j := 0; j < m.C; j++ {
+		su := s * u[j]
+		if su == 0 {
+			continue
+		}
+		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
+			dst[m.Row[k]] += m.Val[k] * su
+		}
+	}
+}
+
+// TMulBlockInto is TMulVecInto over a block of k vectors stored
+// interleaved (entry i of vector c at v[i·k+c]), each column's sums
+// multiplied by scale[j] as they are stored: out[j·k+c] is column j
+// dotted with vector c, summed in the same ascending entry order as
+// TMulVecInto, then scaled, so every vector's result is bitwise the
+// vector form's followed by the scaling. One pass reads each stored
+// entry once for all k vectors.
+func (m *CSC) TMulBlockInto(out, v, scale []float64, k int) {
+	if k <= 0 || len(v) != m.R*k || len(out) != m.C*k || len(scale) != m.C {
+		panic("sparse: CSC.TMulBlockInto dimension mismatch")
+	}
+	grain := 4096/((len(m.Val)/max(m.C, 1)+1)*k) + 1
+	if parallel.SerialBlock(m.C, grain) {
+		segDots(out, m.ColPtr, m.Row, m.Val, v, scale, k, 0, m.C)
+		return
+	}
+	parallel.ForBlock(m.C, grain, func(lo, hi int) {
+		segDots(out, m.ColPtr, m.Row, m.Val, v, scale, k, lo, hi)
+	})
+}
+
+// segDots is the gather kernel of the compressed layouts (CSC columns,
+// Stack rows): segment j holds entries ptr[j]..ptr[j+1] with indices idx
+// and weights w, and out[j·k+c] = Σ_p w[p]·v[idx[p]·k+c] for j in
+// [lo, hi) against the k interleaved vectors of v, multiplied by
+// scale[j] as it is stored when scale is non-nil. Every sum is a single
+// accumulator over its segment's entries in stored order, so a block's
+// vectors are bitwise the one-vector sums. The vectors go eight, then
+// four, at a time with their sums in registers, then one at a time.
+func segDots(out []float64, ptr, idx []int, w, v, scale []float64, k, lo, hi int) {
+	if k == 1 {
+		segDots1(out, ptr, idx, w, v, scale, lo, hi)
+		return
+	}
+	for j := lo; j < hi; j++ {
+		o, f := out[j*k:(j+1)*k], 1.0
+		if scale != nil {
+			f = scale[j]
+		}
+		ix, wj := idx[ptr[j]:ptr[j+1]], w[ptr[j]:ptr[j+1]]
+		wj = wj[:len(ix)]
+		c := 0
+		for ; c+8 <= k; c += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for p, r := range ix {
+				a, vr := wj[p], v[r*k+c:r*k+c+8]
+				s0 += a * vr[0]
+				s1 += a * vr[1]
+				s2 += a * vr[2]
+				s3 += a * vr[3]
+				s4 += a * vr[4]
+				s5 += a * vr[5]
+				s6 += a * vr[6]
+				s7 += a * vr[7]
+			}
+			o[c], o[c+1], o[c+2], o[c+3] = s0*f, s1*f, s2*f, s3*f
+			o[c+4], o[c+5], o[c+6], o[c+7] = s4*f, s5*f, s6*f, s7*f
+		}
+		for ; c+4 <= k; c += 4 {
+			var s0, s1, s2, s3 float64
+			for p, r := range ix {
+				a, vr := wj[p], v[r*k+c:r*k+c+4]
+				s0 += a * vr[0]
+				s1 += a * vr[1]
+				s2 += a * vr[2]
+				s3 += a * vr[3]
+			}
+			o[c], o[c+1], o[c+2], o[c+3] = s0*f, s1*f, s2*f, s3*f
+		}
+		for ; c < k; c++ {
+			var s float64
+			for p, r := range ix {
+				s += wj[p] * v[r*k+c]
+			}
+			o[c] = s * f
+		}
+	}
+}
+
+// segDots1 is segDots for one vector, four segments at a time: while
+// all four still have entries their accumulation chains run
+// interleaved, putting four independent add chains in flight instead of
+// one latency-bound chain, then each segment drains its remaining
+// entries alone. Every sum still visits its entries in stored order
+// with a single accumulator, so out is bitwise the one-segment loop's.
+func segDots1(out []float64, cp, row []int, val, v, scale []float64, lo, hi int) {
 	j := lo
 	for ; j+3 < hi; j += 4 {
 		k0, e0 := cp[j], cp[j+1]
@@ -176,6 +271,9 @@ func tMulVecCols(m *CSC, out, v []float64, lo, hi int) {
 		for ; k3 < e3; k3++ {
 			s3 += val[k3] * v[row[k3]]
 		}
+		if scale != nil {
+			s0, s1, s2, s3 = s0*scale[j], s1*scale[j+1], s2*scale[j+2], s3*scale[j+3]
+		}
 		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
 	}
 	for ; j < hi; j++ {
@@ -183,91 +281,10 @@ func tMulVecCols(m *CSC, out, v []float64, lo, hi int) {
 		for k := cp[j]; k < cp[j+1]; k++ {
 			s += val[k] * v[row[k]]
 		}
+		if scale != nil {
+			s *= scale[j]
+		}
 		out[j] = s
-	}
-}
-
-// MulVecAdd accumulates dst += s·Q·u where u has length C.
-// Sequential over columns (columns may share rows); callers parallelize
-// at a higher level.
-func (m *CSC) MulVecAdd(dst []float64, s float64, u []float64) {
-	if len(u) != m.C || len(dst) != m.R {
-		panic("sparse: CSC.MulVecAdd dimension mismatch")
-	}
-	for j := 0; j < m.C; j++ {
-		su := s * u[j]
-		if su == 0 {
-			continue
-		}
-		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
-			dst[m.Row[k]] += m.Val[k] * su
-		}
-	}
-}
-
-// TMulBlockInto is TMulVecInto over a block of k vectors stored
-// interleaved (entry i of vector c at v[i·k+c]): out[j·k+c] is column j
-// dotted with vector c, summed in the same ascending entry order as
-// TMulVecInto, so every vector's result is bitwise the vector form's.
-// One pass reads each stored entry once for all k vectors.
-func (m *CSC) TMulBlockInto(out, v []float64, k int) {
-	if k <= 0 || len(v) != m.R*k || len(out) != m.C*k {
-		panic("sparse: CSC.TMulBlockInto dimension mismatch")
-	}
-	grain := 4096/((len(m.Val)/max(m.C, 1)+1)*k) + 1
-	if parallel.SerialBlock(m.C, grain) {
-		tMulBlockCols(m, out, v, k, 0, m.C)
-		return
-	}
-	parallel.ForBlock(m.C, grain, func(lo, hi int) {
-		tMulBlockCols(m, out, v, k, lo, hi)
-	})
-}
-
-// tMulBlockCols computes columns [lo, hi) of TMulBlockInto, the
-// vectors eight, then four, at a time with their sums in registers,
-// then one at a time; each sum is a single accumulator over the
-// column's entries in ascending order, as in tMulVecCols.
-func tMulBlockCols(m *CSC, out, v []float64, k, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		o := out[j*k : (j+1)*k]
-		rows, val := m.Row[m.ColPtr[j]:m.ColPtr[j+1]], m.Val[m.ColPtr[j]:m.ColPtr[j+1]]
-		val = val[:len(rows)]
-		c := 0
-		for ; c+8 <= k; c += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for p, r := range rows {
-				a, vr := val[p], v[r*k+c:r*k+c+8]
-				s0 += a * vr[0]
-				s1 += a * vr[1]
-				s2 += a * vr[2]
-				s3 += a * vr[3]
-				s4 += a * vr[4]
-				s5 += a * vr[5]
-				s6 += a * vr[6]
-				s7 += a * vr[7]
-			}
-			o[c], o[c+1], o[c+2], o[c+3] = s0, s1, s2, s3
-			o[c+4], o[c+5], o[c+6], o[c+7] = s4, s5, s6, s7
-		}
-		for ; c+4 <= k; c += 4 {
-			var s0, s1, s2, s3 float64
-			for p, r := range rows {
-				a, vr := val[p], v[r*k+c:r*k+c+4]
-				s0 += a * vr[0]
-				s1 += a * vr[1]
-				s2 += a * vr[2]
-				s3 += a * vr[3]
-			}
-			o[c], o[c+1], o[c+2], o[c+3] = s0, s1, s2, s3
-		}
-		for ; c < k; c++ {
-			var s float64
-			for p, r := range rows {
-				s += val[p] * v[r*k+c]
-			}
-			o[c] = s
-		}
 	}
 }
 
@@ -276,10 +293,15 @@ func tMulBlockCols(m *CSC, out, v []float64, k, lo, hi int) {
 // with s·u == 0 is skipped as in the vector form, and every dst entry
 // takes its additions in the same column-then-entry order, so each
 // vector's result is bitwise the vector form's. Within a column, groups
-// of four vectors with no zero coefficient scatter together.
+// of four vectors with no zero coefficient scatter together; a single
+// vector takes the vector form itself.
 func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
 	if k <= 0 || len(u) != m.C*k || len(dst) != m.R*k {
 		panic("sparse: CSC.MulBlockAdd dimension mismatch")
+	}
+	if k == 1 {
+		m.MulVecAdd(dst, s, u)
+		return
 	}
 	for j := 0; j < m.C; j++ {
 		uj := u[j*k : (j+1)*k]
@@ -345,13 +367,24 @@ func (m *CSC) GramQuad(v []float64) float64 {
 
 // SketchDot returns |S·Q|_F² where S is a dense k-by-m sketch: this is
 // the per-constraint estimate |Π exp(Φ/2) Qᵢ|² of Theorem 4.1.
-// Work O(k·nnz(Q)), depth O(log).
+// Work O(k·nnz(Q)), depth O(log). Below the fork grain the block tree
+// is replayed with a plain loop — same decomposition, same combine
+// order, no heap-escaping closure — so the per-constraint dots of a
+// steady-state oracle call allocate nothing.
 func (m *CSC) SketchDot(s *matrix.Dense) float64 {
 	if s.C != m.R {
 		panic("sparse: CSC.SketchDot dimension mismatch")
 	}
-	if parallel.OneBlock(m.C, 4) {
+	blocks := parallel.BlockCount(m.C, 4)
+	if blocks == 1 {
 		return sketchDotCols(m, s, 0, m.C)
+	}
+	if parallel.SerialBlock(m.C, parallel.WorkGrain(2*s.R*(len(m.Val)/m.C+1))) {
+		var total float64
+		for b := 0; b < blocks; b++ {
+			total += sketchDotCols(m, s, b*m.C/blocks, (b+1)*m.C/blocks)
+		}
+		return total
 	}
 	return parallel.SumBlocks(m.C, 4, func(lo, hi int) float64 {
 		return sketchDotCols(m, s, lo, hi)

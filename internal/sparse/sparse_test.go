@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 )
 
 func randTriplets(r, c, nnz int, rng *rand.Rand) []Triplet {
@@ -189,6 +190,30 @@ func TestCSCSketchDot(t *testing.T) {
 	want *= want
 	if got := q.SketchDot(s); math.Abs(got-want) > 1e-9*math.Max(1, want) {
 		t.Fatalf("SketchDot = %v want %v", got, want)
+	}
+}
+
+// A factor wider than one reduction block (more than four columns) is
+// summed over SketchDot's block tree; the in-place replay below the
+// fork grain must give the bits SumBlocks does, and allocate nothing.
+func TestSketchDotReplaysBlockTree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 18))
+	for _, cols := range []int{5, 6, 13, 40} {
+		q, err := NewCSC(9, cols, randTriplets(9, cols, 3*cols, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := matrix.New(3, 9)
+		for i := range s.Data {
+			s.Data[i] = rng.NormFloat64()
+		}
+		want := parallel.SumBlocks(q.C, 4, func(lo, hi int) float64 { return sketchDotCols(q, s, lo, hi) })
+		if got := q.SketchDot(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d columns: SketchDot = %v, block tree %v", cols, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { q.SketchDot(s) }); allocs != 0 {
+			t.Errorf("%d columns: SketchDot allocates %.1f per call, want 0", cols, allocs)
+		}
 	}
 }
 

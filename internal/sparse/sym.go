@@ -312,74 +312,25 @@ func (st *Stack) AccumulateScaled(out, x, v []float64) {
 	})
 }
 
-// AccumulateScaledBlock is AccumulateScaled over a block of k vectors
-// stored interleaved (entry i of vector c at v[i·k+c], likewise out):
-// each entry's index and coefficient Val[p]·x[Con[p]] are loaded once
-// per group of up to eight vectors instead of once per vector, and
-// every (row, vector) sum visits its entries in the same order as
-// AccumulateScaled, so each vector's result is bitwise the vector
-// form's.
-func (st *Stack) AccumulateScaledBlock(out, x, v []float64, k int) {
-	if k <= 0 || len(out) != st.M*k || len(v) != st.M*k || len(x) != st.N {
-		panic("sparse: Stack.AccumulateScaledBlock dimension mismatch")
+// ApplyCoefBlock is AccumulateScaled over a block of k vectors stored
+// interleaved (entry i of vector c at v[i·k+c], likewise out), with the
+// entry weights loaded beforehand: coef[p] = Val[p]·x[Con[p]], formed
+// once per operator instead of once per apply and vector group. Every
+// (row, vector) sum visits its entries in the same order as
+// AccumulateScaled with the same products, so each vector's result is
+// bitwise the vector form's.
+func (st *Stack) ApplyCoefBlock(out, coef, v []float64, k int) {
+	if k <= 0 || len(out) != st.M*k || len(v) != st.M*k || len(coef) != len(st.Val) {
+		panic("sparse: Stack.ApplyCoefBlock dimension mismatch")
 	}
 	grain := 4096/((len(st.Val)/max(st.M, 1)+1)*k) + 1
 	if parallel.SerialBlock(st.M, grain) {
-		st.accumRowsBlock(out, x, v, k, 0, st.M)
+		segDots(out, st.RowPtr, st.Col, coef, v, nil, k, 0, st.M)
 		return
 	}
 	parallel.ForBlock(st.M, grain, func(lo, hi int) {
-		st.accumRowsBlock(out, x, v, k, lo, hi)
+		segDots(out, st.RowPtr, st.Col, coef, v, nil, k, lo, hi)
 	})
-}
-
-// accumRowsBlock computes rows [lo, hi) of AccumulateScaledBlock. The
-// vectors go eight, then four, at a time with their row sums in
-// registers, each entry's coefficient formed once per group, then one
-// at a time; each sum is a single accumulator over the row's entries in
-// stored order, as in accumRows.
-func (st *Stack) accumRowsBlock(out, x, v []float64, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		o := out[r*k : (r+1)*k]
-		ps, pe := st.RowPtr[r], st.RowPtr[r+1]
-		col, con, val := st.Col[ps:pe], st.Con[ps:pe], st.Val[ps:pe]
-		con, val = con[:len(col)], val[:len(col)]
-		c := 0
-		for ; c+8 <= k; c += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for p, j := range col {
-				w, vc := val[p]*x[con[p]], v[j*k+c:j*k+c+8]
-				s0 += w * vc[0]
-				s1 += w * vc[1]
-				s2 += w * vc[2]
-				s3 += w * vc[3]
-				s4 += w * vc[4]
-				s5 += w * vc[5]
-				s6 += w * vc[6]
-				s7 += w * vc[7]
-			}
-			o[c], o[c+1], o[c+2], o[c+3] = s0, s1, s2, s3
-			o[c+4], o[c+5], o[c+6], o[c+7] = s4, s5, s6, s7
-		}
-		for ; c+4 <= k; c += 4 {
-			var s0, s1, s2, s3 float64
-			for p, j := range col {
-				w, vc := val[p]*x[con[p]], v[j*k+c:j*k+c+4]
-				s0 += w * vc[0]
-				s1 += w * vc[1]
-				s2 += w * vc[2]
-				s3 += w * vc[3]
-			}
-			o[c], o[c+1], o[c+2], o[c+3] = s0, s1, s2, s3
-		}
-		for ; c < k; c++ {
-			var s float64
-			for p, j := range col {
-				s += val[p] * x[con[p]] * v[j*k+c]
-			}
-			o[c] = s
-		}
-	}
 }
 
 func (st *Stack) accumRows(out, x, v []float64, lo, hi int) {

@@ -59,7 +59,8 @@ type (
 	// or sparse).
 	ConstraintSet = core.ConstraintSet
 	// PsiOperator is the representation-agnostic operator view a
-	// constraint set exposes to the oracle pipeline: an O(nnz) Ψ(x)·v
+	// constraint set exposes to the oracle pipeline: a per-call load of
+	// Ψ(x)'s coefficients, an O(nnz) Ψ(x)·V over a block of vectors,
 	// and batched quadratic forms. FactoredSet and SparseSet implement
 	// it and share one oracle code path.
 	PsiOperator = core.PsiOperator
