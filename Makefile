@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/sparse -fuzz=FuzzNewCSC -fuzztime=30s
 	$(GO) test . -fuzz=FuzzEngineAgreement -fuzztime=30s
 	$(GO) test ./internal/eigen -fuzz=FuzzLanczosTopRitz -fuzztime=30s
+	$(GO) test ./internal/eigen -fuzz=FuzzSymEigenMatchesReference -fuzztime=30s
 
 ## e2ebench-test: the end-to-end benchmark module's own unit tests
 ## (e2ebench is a separate Go module importing this one; offline)

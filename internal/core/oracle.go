@@ -119,11 +119,14 @@ func (o *denseOracle) update(b []int, mults []float64, x []float64) error {
 		o.rebuild()
 		return nil
 	}
-	// δᵢ = x_newᵢ − x_oldᵢ = x_newᵢ·(1 − 1/multᵢ).
+	// δᵢ = x_newᵢ − x_oldᵢ = x_newᵢ·(1 − 1/multᵢ), added to Ψ up to four
+	// constraints per pass, each entry in b order.
+	s := o.coeffs[:len(b)]
 	for j, i := range b {
 		f := 1 - 1/mults[j]
-		matrix.AXPY(o.psi, o.set.scale*x[i]*f, o.set.A[i])
+		s[j] = o.set.scale * x[i] * f
 	}
+	matrix.AXPYMany(o.psi, s, o.set.A, b)
 	o.st.Add(int64(len(b))*int64(o.set.m)*int64(o.set.m), parallel.Log2(len(b)+1))
 	return nil
 }
@@ -152,7 +155,7 @@ func (o *denseOracle) ratios() ([]float64, oracleInfo, error) {
 func (o *denseOracle) lambdaMaxPsi() (float64, error) {
 	// Fresh rebuild for certificate-grade accuracy.
 	o.rebuild()
-	return eigen.LambdaMax(o.psi)
+	return eigen.LambdaMaxInto(o.ws, o.psi)
 }
 
 func (o *denseOracle) probability() *matrix.Dense { return o.p }

@@ -267,3 +267,62 @@ func TestLambdaMaxPsiLoadsOnce(t *testing.T) {
 		})
 	}
 }
+
+// The run-owned form of LambdaMaxPsi (the best-snapshot check, warm
+// starts and mixed caps) returns LambdaMaxPsi's bits and, once its
+// workspace and certificate scratch are warm, allocates nothing — on
+// dense sets (pooled Ψ and eigenvalue scratch) and on every operator
+// family (pooled coefficients, reused Krylov basis).
+func TestLambdaMaxPsiWSZeroAlloc(t *testing.T) {
+	type fam struct {
+		name  string
+		build func(*rand.Rand) (ConstraintSet, []float64, error)
+	}
+	fams := []fam{{"dense-8x10", func(rng *rand.Rand) (ConstraintSet, []float64, error) {
+		set, err := NewDenseSet(gen.RandomDense(8, 10, 0, rng).A)
+		x := make([]float64, 8)
+		for i := range x {
+			x[i] = 0.1 + rng.Float64()
+		}
+		return set, x, err
+	}}}
+	for _, f := range opFamilies() {
+		fams = append(fams, fam{f.name, func(rng *rand.Rand) (ConstraintSet, []float64, error) {
+			set, err := f.build(rng)
+			if err != nil {
+				return nil, nil, err
+			}
+			return set, midRunX(t, set), nil
+		}})
+	}
+	for _, f := range fams {
+		t.Run(f.name, func(t *testing.T) {
+			set, x, err := f.build(rand.New(rand.NewPCG(73, 74)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := LambdaMaxPsi(set, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, sc := work.New(), newLambdaScratch()
+			for k := 0; k < 2; k++ {
+				got, err := lambdaMaxPsiWS(ws, sc, set, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("call %d: lambdaMaxPsiWS = %v, LambdaMaxPsi %v", k, got, want)
+				}
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := lambdaMaxPsiWS(ws, sc, set, x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm lambdaMaxPsiWS allocates %.1f per call, want 0", allocs)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package eigen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/matrix"
@@ -35,8 +36,11 @@ func SymEigen(a *matrix.Dense) (*Decomposition, error) {
 // SymEigenInto computes the eigendecomposition of a into dec, reusing
 // dec's storage when the shapes match — the zero-allocation form the
 // dense exponential oracle calls every MMW iteration. ws (which may be
-// nil) supplies the subdiagonal scratch vector and any storage dec is
-// missing; no allocation happens once dec and the workspace are warm.
+// nil) supplies the Householder copy of a, the subdiagonal scratch and
+// any storage dec is missing; no allocation happens once dec and the
+// workspace are warm. The basis is built, rotated and sorted as rows of
+// dec.Vectors, where every QL rotation streams two contiguous rows, and
+// transposed once at the end so that columns are eigenvectors.
 func SymEigenInto(ws *work.Workspace, a *matrix.Dense, dec *Decomposition) error {
 	if err := checkSym(a); err != nil {
 		return err
@@ -48,16 +52,23 @@ func SymEigenInto(ws *work.Workspace, a *matrix.Dense, dec *Decomposition) error
 	if len(dec.Values) != n {
 		dec.Values = ws.Vec(n)
 	}
-	dec.Vectors.CopyFrom(a)
-	d := dec.Values
+	h := ws.Mat(n, n)
+	h.CopyFrom(a)
+	d, zt := dec.Values, dec.Vectors.Data
 	e := ws.Vec(n)
-	tred2(dec.Vectors.Data, n, d, e, true)
-	err := tqli(d, e, n, dec.Vectors.Data)
+	tred2(h.Data, n, d, e, zt)
+	err := tqli(d, e, n, zt)
 	ws.PutVec(e)
+	ws.PutMat(h)
 	if err != nil {
 		return err
 	}
-	sortDesc(d, dec.Vectors)
+	sortDesc(d, zt, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			zt[i*n+j], zt[j*n+i] = zt[j*n+i], zt[i*n+j]
+		}
+	}
 	st := statsOf(a)
 	st.Add(int64(9)*int64(n)*int64(n)*int64(n), int64(n)*parallel.Log2(n))
 	return nil
@@ -66,21 +77,60 @@ func SymEigenInto(ws *work.Workspace, a *matrix.Dense, dec *Decomposition) error
 // SymEigenvalues computes only the eigenvalues of the symmetric matrix
 // a, in descending order. a is not modified.
 func SymEigenvalues(a *matrix.Dense) ([]float64, error) {
-	if err := checkSym(a); err != nil {
-		return nil, err
-	}
-	n := a.R
-	work := a.Clone()
-	d := make([]float64, n)
-	e := make([]float64, n)
-	tred2(work.Data, n, d, e, false)
-	if err := tqli(d, e, n, nil); err != nil {
+	d := make([]float64, a.R)
+	if err := eigenvaluesInto(nil, a, d); err != nil {
 		return nil, err
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(d)))
+	return d, nil
+}
+
+// LambdaMaxInto is LambdaMax drawing every buffer from ws (which may be
+// nil), so repeated calls on a warm workspace allocate nothing. The
+// result is bitwise LambdaMax's: a scan keeps the first largest
+// eigenvalue, and only the cases where the descending sort's tie order
+// could pick a different bit pattern — a NaN, or a zero maximum whose
+// sign depends on it — fall back to that sort.
+func LambdaMaxInto(ws *work.Workspace, a *matrix.Dense) (float64, error) {
+	d := ws.Vec(a.R)
+	if err := eigenvaluesInto(ws, a, d); err != nil {
+		ws.PutVec(d)
+		return 0, err
+	}
+	top := d[0]
+	for _, v := range d[1:] {
+		if v > top {
+			top = v
+		}
+	}
+	if top == 0 || top != top {
+		sort.Sort(sort.Reverse(sort.Float64Slice(d)))
+		top = d[0]
+	}
+	ws.PutVec(d)
+	return top, nil
+}
+
+// eigenvaluesInto writes the unsorted eigenvalues of the symmetric
+// matrix a into d (length a.R), tridiagonalizing a copy drawn from ws.
+func eigenvaluesInto(ws *work.Workspace, a *matrix.Dense, d []float64) error {
+	if err := checkSym(a); err != nil {
+		return err
+	}
+	n := a.R
+	h := ws.Mat(n, n)
+	h.CopyFrom(a)
+	e := ws.Vec(n)
+	tred2(h.Data, n, d, e, nil)
+	err := tqli(d, e, n, nil)
+	ws.PutVec(e)
+	ws.PutMat(h)
+	if err != nil {
+		return err
+	}
 	st := statsOf(a)
 	st.Add(int64(4)*int64(n)*int64(n)*int64(n), int64(n)*parallel.Log2(n))
-	return d, nil
+	return nil
 }
 
 // LambdaMax returns the largest eigenvalue of the symmetric matrix a.
@@ -145,24 +195,51 @@ func (dec *Decomposition) Reconstruct() *matrix.Dense {
 	return dec.Apply(func(x float64) float64 { return x })
 }
 
+// checkSym rejects non-square input, any NaN or infinite entry, and
+// any pair |a[i][j] − a[j][i]| above 1e-8·max(1, max|a|), visiting
+// every entry once. The running maxima move only on the rare entry
+// that exceeds them, which is also where a NaN or infinity (never ≤ a
+// finite maximum) is caught, so the sweep carries no serial chain.
 func checkSym(a *matrix.Dense) error {
 	if !a.IsSquare() {
 		return fmt.Errorf("eigen: matrix is %dx%d, want square", a.R, a.C)
 	}
-	if a.HasNaN() {
-		return errors.New("eigen: matrix contains NaN or Inf")
+	n, ad := a.R, a.Data
+	big, asym := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		row := ad[i*n : i*n+n]
+		for j := i; j < n; j++ {
+			u, v := row[j], ad[j*n+i]
+			au, av := math.Abs(u), math.Abs(v)
+			if !(au <= big) {
+				if !(au <= math.MaxFloat64) {
+					return errNonFinite
+				}
+				big = au
+			}
+			if !(av <= big) {
+				if !(av <= math.MaxFloat64) {
+					return errNonFinite
+				}
+				big = av
+			}
+			if d := math.Abs(u - v); d > asym {
+				asym = d
+			}
+		}
 	}
-	tol := 1e-8 * max(1.0, a.MaxAbs())
-	if !a.IsSymmetric(tol) {
+	if asym > 1e-8*max(1.0, big) {
 		return errors.New("eigen: matrix is not symmetric")
 	}
 	return nil
 }
 
-// sortDesc sorts eigenvalues descending, permuting the columns of z the
-// same way (selection sort mirrors the classical eigsrt).
-func sortDesc(d []float64, z *matrix.Dense) {
-	n := len(d)
+var errNonFinite = errors.New("eigen: matrix contains NaN or Inf")
+
+// sortDesc sorts eigenvalues descending, permuting the rows of the
+// n-by-n row-major z the same way (selection sort mirrors the classical
+// eigsrt).
+func sortDesc(d, z []float64, n int) {
 	for i := 0; i < n-1; i++ {
 		k := i
 		p := d[i]
@@ -175,8 +252,9 @@ func sortDesc(d []float64, z *matrix.Dense) {
 		if k != i {
 			d[k] = d[i]
 			d[i] = p
-			for r := 0; r < n; r++ {
-				z.Data[r*n+i], z.Data[r*n+k] = z.Data[r*n+k], z.Data[r*n+i]
+			zi, zk := z[i*n:i*n+n], z[k*n:k*n+n]
+			for r := range zi {
+				zi[r], zk[r] = zk[r], zi[r]
 			}
 		}
 	}

@@ -21,12 +21,19 @@ var ErrNoConvergence = errors.New("eigen: QL iteration failed to converge")
 
 // tred2 reduces the symmetric matrix stored row-major in a (n-by-n) to
 // tridiagonal form by Householder similarity transformations.
-// On return d holds the diagonal, e the subdiagonal (e[0] is spare), and
-// a is overwritten with the orthogonal matrix Z effecting the reduction
-// when accumulate is true (column j of a is the j-th basis image).
-// When accumulate is false, a is left holding Householder debris and
-// only d, e are meaningful. Classic EISPACK/NR scheme, zero-indexed.
-func tred2(a []float64, n int, d, e []float64, accumulate bool) {
+// On return d holds the diagonal and e the subdiagonal (e[0] is spare).
+// When zt is non-nil (n-by-n row-major, contents ignored) it receives
+// the transpose of the orthogonal matrix Z effecting the reduction: row
+// j of zt is the j-th basis image. a is left holding Householder
+// debris. Classic EISPACK/NR scheme, zero-indexed.
+//
+// The back-accumulation builds Zᵀ row by row from the Householder
+// vectors left in a: every g_j is the dot of row j with u = a[i][:i],
+// summed in ascending k, and each entry takes its single rank-1 update
+// from the same operands as the classical column loop, so Zᵀ is that
+// loop's Z transposed bit for bit; only the memory order changes.
+func tred2(a []float64, n int, d, e, zt []float64) {
+	accumulate := zt != nil
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
 		h, scale := 0.0, 0.0
@@ -88,34 +95,62 @@ func tred2(a []float64, n int, d, e []float64, accumulate bool) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		l := i - 1
+		// Row i of zt is not yet part of the basis: it holds w = a[:i][i]
+		// (u/h, stored down column i) contiguously while step i runs.
+		zi := zt[i*n : i*n+i]
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
+			u := a[i*n : i*n+i]
+			zi = zi[:len(u)]
+			for k := range zi {
+				zi[k] = a[k*n+i]
+			}
+			for j := 0; j < i; j++ {
+				zj := zt[j*n : j*n+i][:len(u)]
 				g := 0.0
-				for k := 0; k <= l; k++ {
-					g += a[i*n+k] * a[k*n+j]
+				for k, v := range u {
+					g += v * zj[k]
 				}
-				for k := 0; k <= l; k++ {
-					a[k*n+j] -= g * a[k*n+i]
+				for k, w := range zi {
+					zj[k] -= g * w
 				}
 			}
 		}
 		d[i] = a[i*n+i]
-		a[i*n+i] = 1
-		for j := 0; j <= l; j++ {
-			a[j*n+i] = 0
-			a[i*n+j] = 0
+		for k := range zi {
+			zi[k] = 0
+		}
+		zt[i*n+i] = 1
+		for j := 0; j < i; j++ {
+			zt[j*n+i] = 0
 		}
 	}
+}
+
+// qlHypot is math.Hypot's own formula, max·sqrt(1+(min/max)²), which
+// both the amd64 assembly and the portable Go version evaluate, so its
+// result is bitwise math.Hypot's. It reports false, leaving the answer
+// to math.Hypot, when an operand is zero, infinite or NaN. Unlike the
+// assembly call it inlines into the QL loop.
+func qlHypot(p, q float64) (float64, bool) {
+	p, q = math.Abs(p), math.Abs(q)
+	if p < q {
+		p, q = q, p
+	}
+	if !(p > 0 && p <= math.MaxFloat64 && q == q) {
+		return 0, false
+	}
+	q /= p
+	return p * math.Sqrt(1+q*q), true
 }
 
 // tqli diagonalizes a symmetric tridiagonal matrix with diagonal d and
 // subdiagonal e[1..n-1] (as produced by tred2) using the QL algorithm
 // with implicit shifts. d is overwritten with eigenvalues (unsorted).
-// If z is non-nil (n-by-n row-major), its columns are rotated so that
-// column j becomes the eigenvector of d[j]; pass the tred2 output to get
+// If z is non-nil (n-by-n row-major), its rows are rotated so that row
+// j becomes the eigenvector of d[j]; pass tred2's zt to get
 // eigenvectors of the original matrix, or the identity for eigenvectors
-// of the tridiagonal matrix itself.
+// of the tridiagonal matrix itself. Each Givens rotation updates two
+// contiguous rows.
 func tqli(d, e []float64, n int, z []float64) error {
 	if n == 1 {
 		return nil
@@ -143,14 +178,19 @@ func tqli(d, e []float64, n int, z []float64) error {
 			}
 			iter++
 			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
+			r, ok := qlHypot(g, 1)
+			if !ok {
+				r = math.Hypot(g, 1)
+			}
 			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
 			s, c, p := 1.0, 1.0, 0.0
 			underflow := false
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
-				r = math.Hypot(f, g)
+				if r, ok = qlHypot(f, g); !ok {
+					r = math.Hypot(f, g)
+				}
 				e[i+1] = r
 				if r == 0 {
 					d[i+1] -= p
@@ -166,10 +206,11 @@ func tqli(d, e []float64, n int, z []float64) error {
 				d[i+1] = g + p
 				g = c*r - b
 				if z != nil {
-					for k := 0; k < n; k++ {
-						f := z[k*n+i+1]
-						z[k*n+i+1] = s*z[k*n+i] + c*f
-						z[k*n+i] = c*z[k*n+i] - s*f
+					z1 := z[(i+1)*n : (i+1)*n+n]
+					z0 := z[i*n : i*n+n][:len(z1)]
+					for k, f := range z1 {
+						z1[k] = s*z0[k] + c*f
+						z0[k] = c*z0[k] - s*f
 					}
 				}
 			}

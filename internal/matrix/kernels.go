@@ -236,12 +236,29 @@ func DotMany(out []float64, as []*Dense, scale float64, p *Dense) {
 	})
 }
 
+// dotManyRows runs four constraints' dot products per pass over p, as
+// four independent sequential chains: every sum still takes its terms
+// in ascending entry order with a single accumulator, so out is bitwise
+// the one-constraint loop's, while four add chains are in flight.
 func dotManyRows(out []float64, as []*Dense, scale float64, p *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a := as[i]
+	pd := p.Data
+	i := lo
+	for ; i+3 < hi; i += 4 {
+		a0, a1, a2, a3 := as[i].Data[:len(pd)], as[i+1].Data[:len(pd)], as[i+2].Data[:len(pd)], as[i+3].Data[:len(pd)]
+		var s0, s1, s2, s3 float64
+		for k, v := range pd {
+			s0 += a0[k] * v
+			s1 += a1[k] * v
+			s2 += a2[k] * v
+			s3 += a3[k] * v
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = scale*s0, scale*s1, scale*s2, scale*s3
+	}
+	for ; i < hi; i++ {
+		a := as[i].Data[:len(pd)]
 		var s float64
-		for k, v := range a.Data {
-			s += v * p.Data[k]
+		for k, v := range pd {
+			s += a[k] * v
 		}
 		out[i] = scale * s
 	}

@@ -65,6 +65,54 @@ func AXPY(dst *Dense, s float64, x *Dense) {
 	VecAXPY(dst.Data, s, x.Data)
 }
 
+// AXPYMany computes dst += Σ_j s[j]·xs[idx[j]], adding up to four terms
+// per pass over dst. Each entry takes its additions in j order, one
+// rounded multiply and add at a time, so the result is bitwise that of
+// calling AXPY(dst, s[j], xs[idx[j]]) for j = 0, 1, …; only the number
+// of passes over dst changes. Blocked over entries like VecAXPY.
+func AXPYMany(dst *Dense, s []float64, xs []*Dense, idx []int) {
+	if len(s) != len(idx) {
+		panic("matrix: AXPYMany length mismatch")
+	}
+	for _, i := range idx {
+		if xs[i].R != dst.R || xs[i].C != dst.C {
+			panic(dimErr("AXPYMany", dst, xs[i]))
+		}
+	}
+	if parallel.SerialBlock(len(dst.Data), 4096) {
+		axpyManySeg(dst.Data, s, xs, idx, 0, len(dst.Data))
+		return
+	}
+	parallel.ForBlock(len(dst.Data), 4096, func(lo, hi int) {
+		axpyManySeg(dst.Data, s, xs, idx, lo, hi)
+	})
+}
+
+func axpyManySeg(dst, s []float64, xs []*Dense, idx []int, lo, hi int) {
+	d := dst[lo:hi]
+	j := 0
+	for ; j+3 < len(idx); j += 4 {
+		s0, s1, s2, s3 := s[j], s[j+1], s[j+2], s[j+3]
+		x0, x1 := xs[idx[j]].Data[lo:hi], xs[idx[j+1]].Data[lo:hi]
+		x2, x3 := xs[idx[j+2]].Data[lo:hi], xs[idx[j+3]].Data[lo:hi]
+		x0, x1, x2, x3 = x0[:len(d)], x1[:len(d)], x2[:len(d)], x3[:len(d)]
+		for k, v := range d {
+			v += s0 * x0[k]
+			v += s1 * x1[k]
+			v += s2 * x2[k]
+			v += s3 * x3[k]
+			d[k] = v
+		}
+	}
+	for ; j < len(idx); j++ {
+		s0, x0 := s[j], xs[idx[j]].Data[lo:hi]
+		x0 = x0[:len(d)]
+		for k := range d {
+			d[k] += s0 * x0[k]
+		}
+	}
+}
+
 // AddScaledIdentity computes m += s·I in place. m must be square.
 func AddScaledIdentity(m *Dense, s float64) {
 	if !m.IsSquare() {

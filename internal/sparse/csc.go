@@ -146,7 +146,10 @@ func (m *CSC) MulVecAdd(dst []float64, s float64, u []float64) {
 		panic("sparse: CSC.MulVecAdd dimension mismatch")
 	}
 	for j := 0; j < m.C; j++ {
-		su := s * u[j]
+		su := u[j]
+		if s != 1 {
+			su *= s
+		}
 		if su == 0 {
 			continue
 		}
@@ -294,7 +297,8 @@ func segDots1(out []float64, cp, row []int, val, v, scale []float64, lo, hi int)
 // takes its additions in the same column-then-entry order, so each
 // vector's result is bitwise the vector form's. Within a column, groups
 // of four vectors with no zero coefficient scatter together; a single
-// vector takes the vector form itself.
+// vector takes the vector form itself. s = 1 (the Ψ-apply case) reads u
+// directly: 1·u is u exactly in IEEE arithmetic, so nothing changes.
 func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
 	if k <= 0 || len(u) != m.C*k || len(dst) != m.R*k {
 		panic("sparse: CSC.MulBlockAdd dimension mismatch")
@@ -309,7 +313,10 @@ func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
 		val = val[:len(rows)]
 		for c := 0; c < k; {
 			if c+4 <= k {
-				su0, su1, su2, su3 := s*uj[c], s*uj[c+1], s*uj[c+2], s*uj[c+3]
+				su0, su1, su2, su3 := uj[c], uj[c+1], uj[c+2], uj[c+3]
+				if s != 1 {
+					su0, su1, su2, su3 = s*su0, s*su1, s*su2, s*su3
+				}
 				if su0 != 0 && su1 != 0 && su2 != 0 && su3 != 0 {
 					for p, r := range rows {
 						a, d := val[p], dst[r*k+c:r*k+c+4]
@@ -322,7 +329,11 @@ func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
 					continue
 				}
 			}
-			if su := s * uj[c]; su != 0 {
+			su := uj[c]
+			if s != 1 {
+				su *= s
+			}
+			if su != 0 {
 				for p, r := range rows {
 					dst[r*k+c] += val[p] * su
 				}
