@@ -54,61 +54,47 @@ func VerifyDual(set ConstraintSet, x []float64, tol float64) (*DualCertificate, 
 // for dense sets, converged fully-reorthogonalized Lanczos otherwise.
 // An operator set loads Ψ(x) once into one scratch buffer, so the
 // Lanczos applies allocate nothing; their results are bitwise
-// ApplyPsi's.
+// ApplyPsi's. A run's oracle computes the same bits on its own
+// workspace (expOracle.lambdaMaxAt).
 func LambdaMaxPsi(set ConstraintSet, x []float64) (float64, error) {
-	return lambdaMaxPsiWS(nil, newLambdaScratch(), set, x)
-}
-
-// lambdaScratch is what certificate-grade λ_max(Ψ(x)) evaluations
-// outside an oracle reuse from call to call: the Lanczos workspace and
-// a start-vector generator reseeded on every call, so each call draws
-// the start vector a fresh LambdaMaxPsi draws.
-type lambdaScratch struct {
-	lw  eigen.LanczosWS
-	pcg rand.PCG
-	rng *rand.Rand
-}
-
-// lambdaStashKey files a run's lambdaScratch in the workspace stash
-// between runs; LanczosWS resizes itself when the dimension changes.
-type lambdaStashKey struct{}
-
-func newLambdaScratch() *lambdaScratch {
-	sc := &lambdaScratch{}
-	sc.rng = rand.New(&sc.pcg)
-	return sc
-}
-
-// lambdaMaxPsiWS is LambdaMaxPsi drawing Ψ, the eigenvalue scratch and
-// the loaded coefficients from ws and the Krylov basis from sc. Its
-// result is bitwise LambdaMaxPsi's, and once ws and sc are warm a call
-// allocates nothing.
-func lambdaMaxPsiWS(ws *work.Workspace, sc *lambdaScratch, set ConstraintSet, x []float64) (float64, error) {
 	apply := func(in, out []float64) { set.ApplyPsi(x, in, out) }
 	switch s := set.(type) {
 	case *DenseSet:
-		psi, coeffs := ws.Mat(s.m, s.m), ws.Vec(len(x))
-		s.psiDenseInto(psi, x, coeffs)
-		lam, err := eigen.LambdaMaxInto(ws, psi)
-		ws.PutVec(coeffs)
-		ws.PutMat(psi)
-		return lam, err
+		return s.lambdaMaxPsi(nil, x)
 	case PsiOperator:
 		nc := s.PsiCoefLen()
-		buf := ws.Vec(nc + s.PsiScratchLen())
-		defer ws.PutVec(buf)
+		buf := make([]float64, nc+s.PsiScratchLen())
 		coef, tmp := buf[:nc], buf[nc:]
 		s.LoadPsi(x, coef)
 		apply = func(in, out []float64) { s.ApplyPsiBlock(coef, in, out, tmp, 1) }
 	}
-	sc.pcg.Seed(0xcafe, 0xf00d)
 	return eigen.LanczosMax(apply, set.Dim(), eigen.LanczosOpts{
-		MaxIter: 256,
-		Tol:     1e-12,
-		Rng:     sc.rng,
-		WS:      &sc.lw,
+		MaxIter: certLanczosIter,
+		Tol:     certLanczosTol,
+		Rng:     rand.New(rand.NewPCG(certSeed1, certSeed2)),
 	})
 }
+
+// lambdaMaxPsi is LambdaMaxPsi on a dense set: the top eigenvalue of
+// Ψ(x), with Ψ, its coefficients and the eigenvalue scratch drawn from
+// ws (which may be nil).
+func (s *DenseSet) lambdaMaxPsi(ws *work.Workspace, x []float64) (float64, error) {
+	psi, coeffs := ws.Mat(s.m, s.m), ws.Vec(len(x))
+	s.psiDenseInto(psi, x, coeffs)
+	lam, err := eigen.LambdaMaxInto(ws, psi)
+	ws.PutVec(coeffs)
+	ws.PutMat(psi)
+	return lam, err
+}
+
+// The certificate-grade Lanczos of LambdaMaxPsi: Krylov depth,
+// tolerance and start-vector stream. The operator oracles run the same
+// budget for their own certificates.
+const (
+	certLanczosIter      = 256
+	certLanczosTol       = 1e-12
+	certSeed1, certSeed2 = 0xcafe, 0xf00d
+)
 
 // PrimalCertificate is the verification report for a covering matrix.
 type PrimalCertificate struct {

@@ -287,7 +287,7 @@ func DecisionPSDP(set ConstraintSet, eps float64, opts Options) (*DecisionResult
 	// Every exit path hands the oracle's buffers back, so a workspace
 	// shared across sequential calls (Options.Workspace,
 	// MaximizePacking) serves the next call without a pool miss.
-	defer d.release()
+	defer d.orc.release()
 	if err := d.run(); err != nil {
 		return nil, err
 	}
@@ -313,9 +313,7 @@ type decisionRun struct {
 	maxIter          int
 	orc              expOracle
 	ws               *work.Workspace
-	// lam is the certificate scratch of lambdaMaxPsi, nil until used.
-	lam  *lambdaScratch
-	n, m int
+	n, m             int
 
 	// rule supplies what differs between the solvers sharing this loop.
 	// The oracle holds Ψ(orcX), and its λ_max estimates are multiplied
@@ -483,36 +481,10 @@ func newDecisionRun(set ConstraintSet, eps float64, opts Options) (*decisionRun,
 		err = d.orc.init(d.orcX)
 	}
 	if err != nil {
-		d.release()
+		d.orc.release()
 		return nil, err
 	}
 	return d, nil
-}
-
-// lambdaMaxPsi is LambdaMaxPsi(d.set, x) on the run's workspace and
-// certificate scratch: bitwise the same value, without allocating once
-// warm. The scratch comes from the workspace stash on first use and
-// goes back at release, so repeat runs on a shared workspace keep its
-// Krylov basis.
-func (d *decisionRun) lambdaMaxPsi(x []float64) (float64, error) {
-	if d.lam == nil {
-		if v, ok := d.ws.TakeStash(lambdaStashKey{}); ok {
-			d.lam = v.(*lambdaScratch)
-		} else {
-			d.lam = newLambdaScratch()
-		}
-	}
-	return lambdaMaxPsiWS(d.ws, d.lam, d.set, x)
-}
-
-// release hands the oracle's buffers and the certificate scratch back
-// to the workspace; the run must not step afterwards.
-func (d *decisionRun) release() {
-	d.orc.release()
-	if d.lam != nil {
-		d.ws.Stash(lambdaStashKey{}, d.lam)
-		d.lam = nil
-	}
 }
 
 // run steps until a rule's exit fires, the observer stops the run, or
@@ -712,7 +684,7 @@ func (d *decisionRun) finish() (*DecisionResult, error) {
 	matrix.VecScale(res.DualX, 1/denom, d.x)
 	res.Lower = matrix.VecSum(res.DualX)
 	if d.haveDualSnap && d.bestDualRatio > res.Lower*(1+1e-12) {
-		lamSnap, err := d.lambdaMaxPsi(d.bestDualX)
+		lamSnap, err := d.orc.lambdaMaxAt(d.bestDualX)
 		if err != nil {
 			return nil, err
 		}

@@ -81,7 +81,7 @@ func BenchmarkDenseOracleStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.release()
+	defer d.orc.release()
 	o := d.orc.(*denseOracle)
 	x := d.x
 	idx := make([]int, 0, len(x))

@@ -33,7 +33,7 @@ func RunMixed(pack ConstraintSet, cover *matrix.Dense, eps float64, opts Options
 	if err != nil {
 		return nil, err
 	}
-	defer d.release()
+	defer d.orc.release()
 	if err := d.run(); err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func newMixedRun(pack ConstraintSet, cover *matrix.Dense, eps float64, opts Opti
 		err = d.orc.init(d.x)
 	}
 	if err != nil {
-		d.release()
+		d.orc.release()
 		return nil, err
 	}
 	return d, nil
@@ -168,7 +168,7 @@ func (r *mixedRule) capFor(d *decisionRun, i int) (float64, error) {
 		r.unit[k] = 0
 	}
 	r.unit[i] = 1
-	lam, err := d.lambdaMaxPsi(r.unit)
+	lam, err := d.orc.lambdaMaxAt(r.unit)
 	if err != nil {
 		return 0, err
 	}

@@ -39,6 +39,11 @@ type expOracle interface {
 	// lambdaMaxPsi returns a high-accuracy estimate of λ_max(Ψ) for the
 	// current x (used for certificates, so it must be trustworthy).
 	lambdaMaxPsi() (float64, error)
+	// lambdaMaxAt returns LambdaMaxPsi(set, x) bit for bit for any x,
+	// on the oracle's workspace and scratch: once warm it allocates
+	// nothing. It leaves the oracle's own x alone and may run before
+	// init (warm starts and mixed caps do).
+	lambdaMaxAt(x []float64) (float64, error)
 	// probability returns the dense density matrix P from the most
 	// recent ratios() call, or nil if the representation does not
 	// materialize it (factored path).
@@ -156,6 +161,10 @@ func (o *denseOracle) lambdaMaxPsi() (float64, error) {
 	// Fresh rebuild for certificate-grade accuracy.
 	o.rebuild()
 	return eigen.LambdaMaxInto(o.ws, o.psi)
+}
+
+func (o *denseOracle) lambdaMaxAt(x []float64) (float64, error) {
+	return o.set.lambdaMaxPsi(o.ws, x)
 }
 
 func (o *denseOracle) probability() *matrix.Dense { return o.p }

@@ -268,12 +268,13 @@ func TestLambdaMaxPsiLoadsOnce(t *testing.T) {
 	}
 }
 
-// The run-owned form of LambdaMaxPsi (the best-snapshot check, warm
-// starts and mixed caps) returns LambdaMaxPsi's bits and, once its
-// workspace and certificate scratch are warm, allocates nothing — on
-// dense sets (pooled Ψ and eigenvalue scratch) and on every operator
-// family (pooled coefficients, reused Krylov basis).
-func TestLambdaMaxPsiWSZeroAlloc(t *testing.T) {
+// The oracle-owned form of LambdaMaxPsi (the best-snapshot check, warm
+// starts and mixed caps) returns LambdaMaxPsi's bits and, once the
+// oracle is warm, allocates nothing — on dense sets (pooled Ψ and
+// eigenvalue scratch) and on every operator family (the oracle's own
+// loaded coefficients and Krylov basis). It runs before init, as warm
+// starts do, and leaves the oracle's ratios bitwise a fresh oracle's.
+func TestLambdaMaxAtZeroAlloc(t *testing.T) {
 	type fam struct {
 		name  string
 		build func(*rand.Rand) (ConstraintSet, []float64, error)
@@ -305,23 +306,51 @@ func TestLambdaMaxPsiWSZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, sc := work.New(), newLambdaScratch()
+			o, err := buildOracle(set, Options{}, work.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer o.release()
 			for k := 0; k < 2; k++ {
-				got, err := lambdaMaxPsiWS(ws, sc, set, x)
+				got, err := o.lambdaMaxAt(x)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("call %d: lambdaMaxPsiWS = %v, LambdaMaxPsi %v", k, got, want)
+					t.Fatalf("call %d: lambdaMaxAt = %v, LambdaMaxPsi %v", k, got, want)
 				}
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := lambdaMaxPsiWS(ws, sc, set, x); err != nil {
+				if _, err := o.lambdaMaxAt(x); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("warm lambdaMaxPsiWS allocates %.1f per call, want 0", allocs)
+				t.Errorf("warm lambdaMaxAt allocates %.1f per call, want 0", allocs)
+			}
+			// The oracle's own ratios are a fresh oracle's.
+			fresh, err := buildOracle(set, Options{}, work.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.release()
+			for _, orc := range []expOracle{o, fresh} {
+				if err := orc.init(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, _, err := o.ratios()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := fresh.ratios()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("ratio %d after lambdaMaxAt = %v, fresh oracle %v", i, got[i], ref[i])
+				}
 			}
 		})
 	}

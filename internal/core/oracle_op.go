@@ -80,8 +80,11 @@ func (sc *opScratch) ready() bool { return sc.pcg != nil }
 // otherwise. The Lanczos basis is prewarmed to the oracle's
 // per-iteration refresh depth lanczosIter, with rows pooled in ws, so
 // steady-state λ_max refreshes never allocate, however slowly they
-// converge.
+// converge. A built scratch is left as it is.
 func (sc *opScratch) init(set PsiOperator, ws *work.Workspace, lanczosIter int) {
+	if sc.ready() {
+		return
+	}
 	key := opStashKey{set.N(), set.Dim()}
 	if v, ok := ws.TakeStash(key); ok {
 		*sc = *v.(*opScratch)
@@ -120,10 +123,11 @@ func (sc *opScratch) lanczos(s1, s2 uint64, maxIter int, tol float64) (float64, 
 }
 
 // certLambda is the certificate-grade λ_max(Ψ(x)) of both operator
-// oracles: tight tolerance, many iterations, full reorthogonalization.
-func (sc *opScratch) certLambda(x []float64, seed uint64) (float64, error) {
+// oracles from the reseeded stream (s1, s2): LambdaMaxPsi's tight
+// tolerance and Krylov depth, full reorthogonalization.
+func (sc *opScratch) certLambda(x []float64, s1, s2 uint64) (float64, error) {
 	sc.load(x, 1)
-	return sc.lanczos(seed^0x5eed, 0x7ea1, 256, 1e-12)
+	return sc.lanczos(s1, s2, certLanczosIter, certLanczosTol)
 }
 
 // expHalf runs k lockstep ExpMV chains through exp(Ψ/2), one per row
@@ -253,8 +257,8 @@ func (o *opJLOracle) init(x []float64) error {
 	}
 	o.x = x
 	o.lambdaEst = 0
-	if !o.sc.ready() {
-		o.sc.init(o.set, o.ws, jlLanczosIter)
+	o.sc.init(o.set, o.ws, jlLanczosIter)
+	if o.s == nil {
 		o.s = o.ws.Mat(o.rows, o.set.Dim())
 	}
 	return nil
@@ -387,15 +391,22 @@ func sumSquaresSeg(a []float64, lo, hi int) float64 {
 	return s
 }
 
-func (o *opJLOracle) lambdaMaxPsi() (float64, error) { return o.sc.certLambda(o.x, o.seed) }
+func (o *opJLOracle) lambdaMaxPsi() (float64, error) {
+	return o.sc.certLambda(o.x, o.seed^0x5eed, 0x7ea1)
+}
+
+func (o *opJLOracle) lambdaMaxAt(x []float64) (float64, error) {
+	o.sc.init(o.set, o.ws, jlLanczosIter)
+	return o.sc.certLambda(x, certSeed1, certSeed2)
+}
 
 func (o *opJLOracle) probability() *matrix.Dense { return nil }
 
 func (o *opJLOracle) release() {
-	if !o.sc.ready() {
+	o.sc.release(o.ws)
+	if o.s == nil {
 		return
 	}
-	o.sc.release(o.ws)
 	o.ws.PutMat(o.s)
 	o.s = nil
 	if o.jl != nil {
@@ -437,10 +448,9 @@ func (o *opExactOracle) init(x []float64) error {
 		return fmt.Errorf("core: exact operator oracle: x has %d entries, want %d", len(x), o.set.N())
 	}
 	o.x = x
-	if !o.sc.ready() {
-		m := o.set.Dim()
-		o.sc.init(o.set, o.ws, exactLanczosIter)
-		o.cols = o.ws.Mat(m, m)
+	o.sc.init(o.set, o.ws, exactLanczosIter)
+	if o.cols == nil {
+		o.cols = o.ws.Mat(o.set.Dim(), o.set.Dim())
 	}
 	return nil
 }
@@ -492,15 +502,22 @@ func (o *opExactOracle) ratios() ([]float64, oracleInfo, error) {
 	return r, oracleInfo{LambdaMax: o.lambdaEst, LogTrW: 2*maxLog + math.Log(trEst)}, nil
 }
 
-func (o *opExactOracle) lambdaMaxPsi() (float64, error) { return o.sc.certLambda(o.x, o.seed) }
+func (o *opExactOracle) lambdaMaxPsi() (float64, error) {
+	return o.sc.certLambda(o.x, o.seed^0x5eed, 0x7ea1)
+}
+
+func (o *opExactOracle) lambdaMaxAt(x []float64) (float64, error) {
+	o.sc.init(o.set, o.ws, exactLanczosIter)
+	return o.sc.certLambda(x, certSeed1, certSeed2)
+}
 
 func (o *opExactOracle) probability() *matrix.Dense { return nil }
 
 func (o *opExactOracle) release() {
-	if !o.sc.ready() {
+	o.sc.release(o.ws)
+	if o.cols == nil {
 		return
 	}
-	o.sc.release(o.ws)
 	o.ws.PutMat(o.cols)
 	o.cols = nil
 }

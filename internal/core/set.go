@@ -303,7 +303,7 @@ func (s *FactoredSet) ApplyPsi(x, in, out []float64) {
 	for j := range out {
 		out[j] = 0
 	}
-	s.flat.MulVecAdd(out, 1, tmp)
+	s.flat.MulVecAdd(out, tmp)
 }
 
 // PsiCoefLen implements PsiOperator: one coefficient per flat column.
@@ -331,7 +331,7 @@ func (s *FactoredSet) ApplyPsiBlock(coef, in, out, tmp []float64, k int) {
 	for j := range out {
 		out[j] = 0
 	}
-	s.flat.MulBlockAdd(out, 1, tmp, k)
+	s.flat.MulBlockAdd(out, tmp, k)
 }
 
 // ExpDots implements PsiOperator: with Aᵢ = QᵢQᵢᵀ,

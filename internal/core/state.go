@@ -183,7 +183,7 @@ func (d *decisionRun) applyWarmStart(st *DecisionState) bool {
 	// certificate grade (exact eigendecomposition or converged Lanczos).
 	envelope := 1 + d.eps
 	for attempt := 0; ; attempt++ {
-		lam, err := d.lambdaMaxPsi(xw)
+		lam, err := d.orc.lambdaMaxAt(xw)
 		if err != nil || math.IsNaN(lam) || math.IsInf(lam, 0) {
 			return false
 		}

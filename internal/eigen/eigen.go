@@ -36,9 +36,9 @@ func SymEigen(a *matrix.Dense) (*Decomposition, error) {
 // SymEigenInto computes the eigendecomposition of a into dec, reusing
 // dec's storage when the shapes match — the zero-allocation form the
 // dense exponential oracle calls every MMW iteration. ws (which may be
-// nil) supplies the Householder copy of a, the subdiagonal scratch and
-// any storage dec is missing; no allocation happens once dec and the
-// workspace are warm. The basis is built, rotated and sorted as rows of
+// nil) supplies two length-n scratch vectors and any storage dec is
+// missing; no allocation happens once dec and the workspace are warm.
+// The basis is built, rotated and sorted in place as rows of
 // dec.Vectors, where every QL rotation streams two contiguous rows, and
 // transposed once at the end so that columns are eigenvectors.
 func SymEigenInto(ws *work.Workspace, a *matrix.Dense, dec *Decomposition) error {
@@ -52,14 +52,13 @@ func SymEigenInto(ws *work.Workspace, a *matrix.Dense, dec *Decomposition) error
 	if len(dec.Values) != n {
 		dec.Values = ws.Vec(n)
 	}
-	h := ws.Mat(n, n)
-	h.CopyFrom(a)
+	dec.Vectors.CopyFrom(a)
 	d, zt := dec.Values, dec.Vectors.Data
-	e := ws.Vec(n)
-	tred2(h.Data, n, d, e, zt)
+	e, w := ws.Vec(n), ws.Vec(n)
+	tred2(zt, n, d, e, w)
+	ws.PutVec(w)
 	err := tqli(d, e, n, zt)
 	ws.PutVec(e)
-	ws.PutMat(h)
 	if err != nil {
 		return err
 	}
@@ -135,11 +134,7 @@ func eigenvaluesInto(ws *work.Workspace, a *matrix.Dense, d []float64) error {
 
 // LambdaMax returns the largest eigenvalue of the symmetric matrix a.
 func LambdaMax(a *matrix.Dense) (float64, error) {
-	vals, err := SymEigenvalues(a)
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
+	return LambdaMaxInto(nil, a)
 }
 
 // LambdaMin returns the smallest eigenvalue of the symmetric matrix a.

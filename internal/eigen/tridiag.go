@@ -22,18 +22,21 @@ var ErrNoConvergence = errors.New("eigen: QL iteration failed to converge")
 // tred2 reduces the symmetric matrix stored row-major in a (n-by-n) to
 // tridiagonal form by Householder similarity transformations.
 // On return d holds the diagonal and e the subdiagonal (e[0] is spare).
-// When zt is non-nil (n-by-n row-major, contents ignored) it receives
+// When w is non-nil (length n, contents ignored) a is overwritten with
 // the transpose of the orthogonal matrix Z effecting the reduction: row
-// j of zt is the j-th basis image. a is left holding Householder
-// debris. Classic EISPACK/NR scheme, zero-indexed.
+// j of a is the j-th basis image. Otherwise a is left holding
+// Householder debris. Classic EISPACK/NR scheme, zero-indexed.
 //
-// The back-accumulation builds Zᵀ row by row from the Householder
-// vectors left in a: every g_j is the dot of row j with u = a[i][:i],
-// summed in ascending k, and each entry takes its single rank-1 update
-// from the same operands as the classical column loop, so Zᵀ is that
+// The back-accumulation builds Zᵀ in place, row by row, from the
+// Householder vectors left in a: step i reads u = a[i][:i] and u/h =
+// a[:i][i] (copied into w so the update streams it), which no earlier
+// step touches, and updates the leading i-by-i block, which holds Zᵀ
+// of the steps before. Every g_j is the dot of row j with u, summed in
+// ascending k, and each entry takes its single rank-1 update from the
+// same operands as the classical column loop, so the result is that
 // loop's Z transposed bit for bit; only the memory order changes.
-func tred2(a []float64, n int, d, e, zt []float64) {
-	accumulate := zt != nil
+func tred2(a []float64, n int, d, e, w []float64) {
+	accumulate := w != nil
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
 		h, scale := 0.0, 0.0
@@ -95,33 +98,29 @@ func tred2(a []float64, n int, d, e, zt []float64) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		// Row i of zt is not yet part of the basis: it holds w = a[:i][i]
-		// (u/h, stored down column i) contiguously while step i runs.
-		zi := zt[i*n : i*n+i]
 		if d[i] != 0 {
 			u := a[i*n : i*n+i]
-			zi = zi[:len(u)]
-			for k := range zi {
-				zi[k] = a[k*n+i]
+			wi := w[:len(u)]
+			for k := range wi {
+				wi[k] = a[k*n+i]
 			}
 			for j := 0; j < i; j++ {
-				zj := zt[j*n : j*n+i][:len(u)]
+				zj := a[j*n : j*n+i][:len(u)]
 				g := 0.0
 				for k, v := range u {
 					g += v * zj[k]
 				}
-				for k, w := range zi {
-					zj[k] -= g * w
+				for k, wk := range wi {
+					zj[k] -= g * wk
 				}
 			}
 		}
-		d[i] = a[i*n+i]
-		for k := range zi {
-			zi[k] = 0
-		}
-		zt[i*n+i] = 1
+		row := a[i*n : i*n+i+1]
+		d[i] = row[i]
+		clear(row[:i])
+		row[i] = 1
 		for j := 0; j < i; j++ {
-			zt[j*n+i] = 0
+			a[j*n+i] = 0
 		}
 	}
 }
@@ -147,9 +146,9 @@ func qlHypot(p, q float64) (float64, bool) {
 // subdiagonal e[1..n-1] (as produced by tred2) using the QL algorithm
 // with implicit shifts. d is overwritten with eigenvalues (unsorted).
 // If z is non-nil (n-by-n row-major), its rows are rotated so that row
-// j becomes the eigenvector of d[j]; pass tred2's zt to get
-// eigenvectors of the original matrix, or the identity for eigenvectors
-// of the tridiagonal matrix itself. Each Givens rotation updates two
+// j becomes the eigenvector of d[j]; pass the basis tred2 leaves in a
+// to get eigenvectors of the original matrix, or the identity for
+// eigenvectors of the tridiagonal matrix itself. Each Givens rotation updates two
 // contiguous rows.
 func tqli(d, e []float64, n int, z []float64) error {
 	if n == 1 {

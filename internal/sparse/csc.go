@@ -138,23 +138,20 @@ func (m *CSC) TMulVecInto(out, v []float64) {
 	})
 }
 
-// MulVecAdd accumulates dst += s·Q·u where u has length C.
+// MulVecAdd accumulates dst += Q·u where u has length C, skipping the
+// columns whose coefficient is exactly zero.
 // Sequential over columns (columns may share rows); callers parallelize
 // at a higher level.
-func (m *CSC) MulVecAdd(dst []float64, s float64, u []float64) {
+func (m *CSC) MulVecAdd(dst []float64, u []float64) {
 	if len(u) != m.C || len(dst) != m.R {
 		panic("sparse: CSC.MulVecAdd dimension mismatch")
 	}
-	for j := 0; j < m.C; j++ {
-		su := u[j]
-		if s != 1 {
-			su *= s
-		}
-		if su == 0 {
+	for j, uj := range u {
+		if uj == 0 {
 			continue
 		}
 		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
-			dst[m.Row[k]] += m.Val[k] * su
+			dst[m.Row[k]] += m.Val[k] * uj
 		}
 	}
 }
@@ -292,19 +289,18 @@ func segDots1(out []float64, cp, row []int, val, v, scale []float64, lo, hi int)
 }
 
 // MulBlockAdd is MulVecAdd over a block of k coefficient vectors stored
-// interleaved: dst[i·k+c] += s·(Q·u_c)[i]. Each (column, vector) pair
-// with s·u == 0 is skipped as in the vector form, and every dst entry
+// interleaved: dst[i·k+c] += (Q·u_c)[i]. Each (column, vector) pair
+// with u == 0 is skipped as in the vector form, and every dst entry
 // takes its additions in the same column-then-entry order, so each
 // vector's result is bitwise the vector form's. Within a column, groups
 // of four vectors with no zero coefficient scatter together; a single
-// vector takes the vector form itself. s = 1 (the Ψ-apply case) reads u
-// directly: 1·u is u exactly in IEEE arithmetic, so nothing changes.
-func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
+// vector takes the vector form itself.
+func (m *CSC) MulBlockAdd(dst []float64, u []float64, k int) {
 	if k <= 0 || len(u) != m.C*k || len(dst) != m.R*k {
 		panic("sparse: CSC.MulBlockAdd dimension mismatch")
 	}
 	if k == 1 {
-		m.MulVecAdd(dst, s, u)
+		m.MulVecAdd(dst, u)
 		return
 	}
 	for j := 0; j < m.C; j++ {
@@ -313,29 +309,22 @@ func (m *CSC) MulBlockAdd(dst []float64, s float64, u []float64, k int) {
 		val = val[:len(rows)]
 		for c := 0; c < k; {
 			if c+4 <= k {
-				su0, su1, su2, su3 := uj[c], uj[c+1], uj[c+2], uj[c+3]
-				if s != 1 {
-					su0, su1, su2, su3 = s*su0, s*su1, s*su2, s*su3
-				}
-				if su0 != 0 && su1 != 0 && su2 != 0 && su3 != 0 {
+				u0, u1, u2, u3 := uj[c], uj[c+1], uj[c+2], uj[c+3]
+				if u0 != 0 && u1 != 0 && u2 != 0 && u3 != 0 {
 					for p, r := range rows {
 						a, d := val[p], dst[r*k+c:r*k+c+4]
-						d[0] += a * su0
-						d[1] += a * su1
-						d[2] += a * su2
-						d[3] += a * su3
+						d[0] += a * u0
+						d[1] += a * u1
+						d[2] += a * u2
+						d[3] += a * u3
 					}
 					c += 4
 					continue
 				}
 			}
-			su := uj[c]
-			if s != 1 {
-				su *= s
-			}
-			if su != 0 {
+			if uc := uj[c]; uc != 0 {
 				for p, r := range rows {
-					dst[r*k+c] += val[p] * su
+					dst[r*k+c] += val[p] * uc
 				}
 			}
 			c++
