@@ -66,17 +66,39 @@ func TestDenseUpdateMatchesAXPY(t *testing.T) {
 }
 
 // BenchmarkDenseOracleStep times one dense-oracle iteration, ratios
-// then update, on the 8×8 shape of dense-solve's Maximize classes (n =
-// 8 constraints of dimension 8, the decision scale of a mid-bisection
-// call). The update bumps the coordinates whose ratio is at most 1+ε by
-// a factor 1+1e-6, so x and Ψ stay bounded over any b.N; a warm
-// iteration allocates nothing.
+// then update, at the decision scale of a mid-bisection call, on three
+// shapes: dense-8x8, dense-solve's Maximize classes (n = 8 constraints
+// of dimension 8); diag-20x24, its mixed-LP classes (n = 20 diagonal
+// constraints of dimension 24, which take the diagonal route); and
+// dense-20x24, the same shape with dense constraints. The update bumps
+// the coordinates whose ratio is at most 1+ε by a factor 1+1e-6, so x
+// and Ψ stay bounded over any b.N; a warm iteration allocates nothing.
 func BenchmarkDenseOracleStep(b *testing.B) {
 	rng := rand.New(rand.NewPCG(8, 8))
-	set, err := NewDenseSet(gen.RandomDense(8, 8, 0, rng).A)
+	small := gen.RandomDense(8, 8, 0, rng).A
+	lp, err := gen.MixedCoveringLP(20, 24, 12, 0.4, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, c := range []struct {
+		name string
+		as   []*matrix.Dense
+	}{
+		{"dense-8x8", small},
+		{"diag-20x24", lp.A},
+		{"dense-20x24", gen.RandomDense(20, 24, 0, rng).A},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			set, err := NewDenseSet(c.as)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchDenseOracleStep(b, set)
+		})
+	}
+}
+
+func benchDenseOracleStep(b *testing.B, set *DenseSet) {
 	d, err := newDecisionRun(set.WithScale(0.5), 0.25, Options{Seed: 1, TheoryExact: true})
 	if err != nil {
 		b.Fatal(err)

@@ -72,13 +72,24 @@ type oracleInfo struct {
 // preallocated at init, so the steady-state iteration is allocation-
 // free — the property the internal/core allocation-regression tests
 // pin down.
+//
+// On a diagonal set (a positive LP) Ψ and P are diagonal, so the oracle
+// keeps only their diagonals (psiD, pD) and computes every value the
+// eigensolver route would, bit for bit, in O(n·m): tred2 leaves d =
+// diag(Ψ) with a zero subdiagonal, tqli makes no rotation, the sorted
+// basis is a 0/1 permutation, and every off-diagonal term the
+// congruence, trace and dot kernels add is a signed zero that leaves
+// their +0-started sums unchanged.
 type denseOracle struct {
 	set *DenseSet
 	ws  *work.Workspace
 	x   []float64
 	psi *matrix.Dense
 	p   *matrix.Dense // last density matrix
-	r   []float64     // ratio buffer returned by ratios
+	// psiD and pD are the diagonals of Ψ and P on a diagonal set, where
+	// psi stays nil and p is only written by probability.
+	psiD, pD []float64
+	r        []float64 // ratio buffer returned by ratios
 	// coeffs is the scaled-x scratch of the periodic Ψ rebuild.
 	coeffs []float64
 	dec    eigen.Decomposition
@@ -102,18 +113,27 @@ func (o *denseOracle) init(x []float64) error {
 	}
 	o.x = x
 	m := o.set.m
-	if o.psi == nil {
-		o.psi = o.ws.Mat(m, m)
-		o.p = o.ws.Mat(m, m)
+	if o.r == nil {
 		o.r = o.ws.Vec(o.set.N())
 		o.coeffs = o.ws.Vec(o.set.N())
+		if o.set.diag != nil {
+			o.psiD = o.ws.Vec(m)
+			o.pD = o.ws.Vec(m)
+		} else {
+			o.psi = o.ws.Mat(m, m)
+			o.p = o.ws.Mat(m, m)
+		}
 	}
 	o.rebuild()
 	return nil
 }
 
 func (o *denseOracle) rebuild() {
-	o.set.psiDenseInto(o.psi, o.x, o.coeffs)
+	if o.psiD != nil {
+		o.set.psiDiagInto(o.psiD, o.x, o.coeffs)
+	} else {
+		o.set.psiDenseInto(o.psi, o.x, o.coeffs)
+	}
 	o.updatesSinceRebuild = 0
 }
 
@@ -131,12 +151,27 @@ func (o *denseOracle) update(b []int, mults []float64, x []float64) error {
 		f := 1 - 1/mults[j]
 		s[j] = o.set.scale * x[i] * f
 	}
+	m := o.set.m
+	if o.psiD != nil {
+		// AXPYMany's additions on the diagonal, each entry in b order.
+		for j, i := range b {
+			row := o.set.diag[i*m : i*m+m][:len(o.psiD)]
+			for k, v := range row {
+				o.psiD[k] += s[j] * v
+			}
+		}
+		o.st.Add(int64(len(b))*int64(m), parallel.Log2(len(b)+1))
+		return nil
+	}
 	matrix.AXPYMany(o.psi, s, o.set.A, b)
-	o.st.Add(int64(len(b))*int64(o.set.m)*int64(o.set.m), parallel.Log2(len(b)+1))
+	o.st.Add(int64(len(b))*int64(m)*int64(m), parallel.Log2(len(b)+1))
 	return nil
 }
 
 func (o *denseOracle) ratios() ([]float64, oracleInfo, error) {
+	if o.psiD != nil {
+		return o.diagRatios()
+	}
 	var mark time.Time
 	if o.ph != nil {
 		mark = time.Now()
@@ -157,9 +192,80 @@ func (o *denseOracle) ratios() ([]float64, oracleInfo, error) {
 	return o.r, oracleInfo{LambdaMax: lmax, LogTrW: logTr}, nil
 }
 
+// diagRatios is ratios on a diagonal set. Each value is computed by the
+// operations, in the order, that NormalizedExpSymInto and DotMany use
+// on the dense Ψ: λ_max is the first strictly largest entry (sortDesc's
+// Values[0]), wₖ = exp(Ψₖ − λ_max), tr = Σₖ wₖ in index order (≥ 1, so
+// never degenerate), pₖ = wₖ·(1/tr) and rᵢ = scale·Σₖ aᵢₖ·pₖ.
+func (o *denseOracle) diagRatios() ([]float64, oracleInfo, error) {
+	var mark time.Time
+	if o.ph != nil {
+		mark = time.Now()
+	}
+	psi, w := o.psiD, o.pD[:len(o.psiD)]
+	lmax := psi[0]
+	for _, v := range psi {
+		if !(math.Abs(v) <= math.MaxFloat64) {
+			return nil, oracleInfo{}, o.denseError()
+		}
+		if v > lmax {
+			lmax = v
+		}
+	}
+	tr := 0.0
+	for k, v := range psi {
+		e := math.Exp(v - lmax)
+		w[k] = e
+		tr += e
+	}
+	inv := 1 / tr
+	for k := range w {
+		w[k] *= inv
+	}
+	if o.ph != nil {
+		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
+	}
+	n, m := o.set.N(), o.set.m
+	for i := range o.r[:n] {
+		a := o.set.diag[i*m : i*m+m][:len(w)]
+		var s float64
+		for k, v := range w {
+			s += a[k] * v
+		}
+		o.r[i] = o.set.scale * s
+	}
+	// Analytic cost: n length-m dots plus four O(m) passes (max, exp,
+	// trace, normalize); the depth is the max, trace and dot
+	// reductions', log₂m each.
+	o.st.Add(int64(2*n)*int64(m)+int64(4*m), 3*parallel.Log2(m))
+	return o.r, oracleInfo{LambdaMax: lmax, LogTrW: lmax + math.Log(tr)}, nil
+}
+
+// denseError returns the error the eigensolver route gives for the
+// current Ψ, which has a non-finite diagonal entry: the dense call on
+// the materialized Ψ, which rejects any such entry, so diagonal and
+// dense sets fail identically.
+func (o *denseOracle) denseError() error {
+	m := o.set.m
+	psi, p := o.ws.Mat(m, m), o.ws.Mat(m, m)
+	psi.Zero()
+	for k, v := range o.psiD {
+		psi.Data[k*m+k] = v
+	}
+	_, _, err := expm.NormalizedExpSymInto(o.ws, psi, &o.dec, p)
+	o.ws.PutMat(p)
+	o.ws.PutMat(psi)
+	return err
+}
+
 func (o *denseOracle) lambdaMaxPsi() (float64, error) {
 	// Fresh rebuild for certificate-grade accuracy.
 	o.rebuild()
+	if o.psiD != nil {
+		// A diagonal set keeps no dense Ψ; the certificate still runs
+		// the full eigensolver, on a materialized one.
+		return o.set.lambdaMaxPsi(o.ws, o.x)
+	}
 	return eigen.LambdaMaxInto(o.ws, o.psi)
 }
 
@@ -167,17 +273,37 @@ func (o *denseOracle) lambdaMaxAt(x []float64) (float64, error) {
 	return o.set.lambdaMaxPsi(o.ws, x)
 }
 
-func (o *denseOracle) probability() *matrix.Dense { return o.p }
+func (o *denseOracle) probability() *matrix.Dense {
+	if o.pD == nil {
+		return o.p
+	}
+	m := o.set.m
+	if o.p == nil {
+		o.p = o.ws.Mat(m, m)
+		o.p.Zero()
+	}
+	for k, v := range o.pD {
+		o.p.Data[k*m+k] = v
+	}
+	return o.p
+}
 
 func (o *denseOracle) release() {
-	if o.psi == nil {
+	if o.r == nil {
 		return
 	}
-	o.ws.PutMat(o.psi)
-	o.ws.PutMat(o.p)
 	o.ws.PutVec(o.r)
 	o.ws.PutVec(o.coeffs)
-	o.psi, o.p, o.r, o.coeffs = nil, nil, nil, nil
+	if o.psiD != nil {
+		o.ws.PutVec(o.psiD)
+		o.ws.PutVec(o.pD)
+	} else {
+		o.ws.PutMat(o.psi)
+	}
+	if o.p != nil {
+		o.ws.PutMat(o.p)
+	}
+	o.psi, o.p, o.psiD, o.pD, o.r, o.coeffs = nil, nil, nil, nil, nil, nil
 	if o.dec.Vectors != nil {
 		o.ws.PutMat(o.dec.Vectors)
 		o.ws.PutVec(o.dec.Values)

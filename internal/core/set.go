@@ -96,18 +96,25 @@ type DenseSet struct {
 	m      int
 	scale  float64
 	traces []float64
+	// diag, when every Aᵢ is diagonal (a positive LP), packs the
+	// diagonals n×m: row i is diag(Aᵢ). The dense oracle then keeps Ψ
+	// as a length-m diagonal and needs no eigensolver.
+	diag []float64
 }
 
 // NewDenseSet validates and wraps a list of symmetric m-by-m matrices.
 // Symmetry is always checked; positive semidefiniteness is the caller's
 // responsibility (use ValidatePSD for an explicit check — it costs one
-// eigendecomposition per constraint).
+// eigendecomposition per constraint). The matrices must not change
+// afterwards: the set caches their traces and, when every off-diagonal
+// entry is exactly zero, their diagonals.
 func NewDenseSet(a []*matrix.Dense) (*DenseSet, error) {
 	if len(a) == 0 {
 		return nil, ErrEmptySet
 	}
 	m := a[0].R
 	traces := make([]float64, len(a))
+	diagonal := true
 	for i, ai := range a {
 		if ai.R != m || ai.C != m {
 			return nil, fmt.Errorf("core: constraint %d is %dx%d, want %dx%d", i, ai.R, ai.C, m, m)
@@ -123,8 +130,33 @@ func NewDenseSet(a []*matrix.Dense) (*DenseSet, error) {
 		if traces[i] < 0 {
 			return nil, fmt.Errorf("core: constraint %d has negative trace %v (not PSD)", i, traces[i])
 		}
+		diagonal = diagonal && offDiagZero(ai)
 	}
-	return &DenseSet{A: a, m: m, scale: 1, traces: traces}, nil
+	s := &DenseSet{A: a, m: m, scale: 1, traces: traces}
+	if diagonal {
+		s.diag = make([]float64, len(a)*m)
+		for i, ai := range a {
+			for k := 0; k < m; k++ {
+				s.diag[i*m+k] = ai.Data[k*m+k]
+			}
+		}
+	}
+	return s, nil
+}
+
+// offDiagZero reports whether every off-diagonal entry of the square
+// matrix a is exactly zero (either sign).
+func offDiagZero(a *matrix.Dense) bool {
+	n := a.R
+	for j := 0; j < n; j++ {
+		row := a.Data[j*n : j*n+n]
+		for k, v := range row {
+			if v != 0 && k != j {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // N returns the number of constraints.
@@ -183,6 +215,23 @@ func (s *DenseSet) PsiDense(x []float64) *matrix.Dense {
 func (s *DenseSet) psiDenseInto(psi *matrix.Dense, x, coeffs []float64) {
 	matrix.VecScale(coeffs, s.scale, x)
 	matrix.LinComb(psi, coeffs, s.A)
+}
+
+// psiDiagInto is psiDenseInto on a diagonal set: psi (length m) gets
+// diag(Ψ), each entry summed over i in LinComb's order with the same
+// zero-coefficient skip, so it is bitwise the dense Ψ's diagonal.
+func (s *DenseSet) psiDiagInto(psi, x, coeffs []float64) {
+	matrix.VecScale(coeffs, s.scale, x)
+	clear(psi)
+	for i, c := range coeffs {
+		if c == 0 {
+			continue
+		}
+		row := s.diag[i*s.m : i*s.m+s.m][:len(psi)]
+		for k, v := range row {
+			psi[k] += c * v
+		}
+	}
 }
 
 // ValidatePSD checks every constraint for positive semidefiniteness via

@@ -66,3 +66,43 @@ func TestOperatorOracleWorkModel(t *testing.T) {
 		}
 	})
 }
+
+// The dense oracle charges the work it does: on a diagonal set 2·n·m
+// for the ratio dots plus four O(m) passes per ratios call and |b|·m
+// per update, not the eigensolver route's 9m³ + 2·n·m² and |b|·m².
+func TestDenseOracleWorkModel(t *testing.T) {
+	const n, m = 5, 6
+	set := diagTestSet(t, n, m, rand.New(rand.NewPCG(8, 9)))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1 / (float64(n) * max(set.Trace(i), 1))
+	}
+	b, mults := []int{0, 2, 3}, []float64{1.1, 1.2, 1.3}
+	for _, c := range []struct {
+		name                 string
+		set                  *DenseSet
+		ratioWork, updWork   int64
+		ratioDepth, updDepth int64
+	}{
+		{"diagonal", set, 2*n*m + 4*m, int64(len(b)) * m, 3 * parallel.Log2(m), parallel.Log2(len(b) + 1)},
+		{"eigensolver", set.eigenRoute(), 9*m*m*m + 2*n*m*m, int64(len(b)) * m * m, m * parallel.Log2(m), parallel.Log2(len(b) + 1)},
+	} {
+		var st parallel.Stats
+		o := newDenseOracle(c.set, &st, nil)
+		if err := o.init(x); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := o.ratios(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Work() != c.ratioWork || st.Depth() != c.ratioDepth {
+			t.Fatalf("%s ratios: work %d depth %d, want %d %d", c.name, st.Work(), st.Depth(), c.ratioWork, c.ratioDepth)
+		}
+		if err := o.update(b, mults, x); err != nil {
+			t.Fatal(err)
+		}
+		if w, d := st.Work()-c.ratioWork, st.Depth()-c.ratioDepth; w != c.updWork || d != c.updDepth {
+			t.Fatalf("%s update: work %d depth %d, want %d %d", c.name, w, d, c.updWork, c.updDepth)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	psdp "repro"
 	"repro/internal/gen"
@@ -112,7 +113,11 @@ func TestSparseLargeDecisionThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := serve.New(serve.Config{Workers: 2})
+	// Under -race this one server solve takes about 15 s alone on a
+	// 2-CPU box (31 s for the whole test) and about 25 s beside the other
+	// race-instrumented packages of `go test -race ./...`, close to
+	// serve's 30 s default deadline, so the test names its own.
+	s := serve.New(serve.Config{Workers: 2, DefaultTimeout: 5 * time.Minute})
 	ts := httptest.NewServer(s)
 	defer func() {
 		ts.Close()
