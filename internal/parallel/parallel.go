@@ -54,16 +54,25 @@ func OneBlock(n, grain int) bool {
 	return n <= grain
 }
 
+// forkFloor is the least work, in scalar operations, a forked block
+// must do to pay for its fork and join. BenchmarkForkJoin sizes it: on
+// a 2-CPU x86-64 box (go1.24), two items of 16384 operations each ran
+// in a median 22.5 µs forked against 19.0 µs in one sequential call;
+// at 32768 in 38.5 against 44.7 µs; at 65536 in 69.6 against 76.6 µs.
+const forkFloor = 1 << 15
+
 // WorkGrain returns the loop grain at which each forked block does at
-// least ~4096 scalar operations, given the approximate work of one
+// least forkFloor scalar operations, given the approximate work of one
 // item: the row grain of the dense matrix kernels, and the gate of any
 // per-item loop whose items are cheap enough that forking one goroutine
-// per item would cost more than the item.
+// per item would cost more than the item. Every caller forks over
+// independent outputs (or only gates a fixed block tree), so the grain
+// moves no result bit.
 func WorkGrain(flopsPerItem int) int {
 	if flopsPerItem <= 0 {
 		flopsPerItem = 1
 	}
-	return max(4096/flopsPerItem, 1)
+	return max(forkFloor/flopsPerItem, 1)
 }
 
 // For runs body(i) for every i in [0, n), potentially in parallel.

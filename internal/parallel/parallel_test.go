@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -188,5 +189,50 @@ func TestLog2(t *testing.T) {
 func TestWorkers(t *testing.T) {
 	if Workers() < 1 {
 		t.Fatal("Workers() < 1")
+	}
+}
+
+// forkBody does flops multiply-adds per item over a small cache-resident
+// vector: the shape of a dot-product row of the dense kernels.
+func forkBody(v []float64, out []float64, flops int) func(lo, hi int) {
+	return func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			var s float64
+			for k := 0; k < flops/2; k++ {
+				s += v[k&63] * v[(k+i)&63]
+			}
+			out[i] = s
+		}
+	}
+}
+
+// BenchmarkForkJoin sizes forkFloor: two items of the given work each,
+// run as one sequential call ("serial") or forked into two blocks
+// ("fork"). The fork pays once its ns/op falls clearly below serial's;
+// "empty" is the bare fork+join cost.
+func BenchmarkForkJoin(b *testing.B) {
+	v := make([]float64, 64)
+	for i := range v {
+		v[i] = 1 + float64(i)/64
+	}
+	out := make([]float64, 2)
+	b.Run("empty", func(b *testing.B) {
+		b.ReportAllocs()
+		for it := 0; it < b.N; it++ {
+			ForBlock(2, 1, func(lo, hi int) {})
+		}
+	})
+	for _, flops := range []int{4096, 16384, 32768, 65536} {
+		body := forkBody(v, out, flops)
+		b.Run(fmt.Sprintf("flops=%d/serial", flops), func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				body(0, 2)
+			}
+		})
+		b.Run(fmt.Sprintf("flops=%d/fork", flops), func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				ForBlock(2, 1, body)
+			}
+		})
 	}
 }

@@ -170,3 +170,30 @@ func TestDigestCSCShape(t *testing.T) {
 		t.Fatal("CSCs of different column counts collided")
 	}
 }
+
+// maximizeAutoDigest is the content address of maximizeAutoRequest.
+// Maximize resolves "auto" once, at eps/4, inside the solver; the digest
+// keeps hashing "auto" unresolved, so this address must not move when
+// the solver's per-call accuracy does.
+const maximizeAutoDigest = "ab63cfbd1ae25bc2f99923aa43b9c2569ca42ad58e0d3e95c3b423d0cb78ce6b"
+
+func maximizeAutoRequest(engine string) *Request {
+	inst := &instio.Instance{M: 2}
+	for i := 0; i < 8; i++ {
+		d := 1 + float64(i)/8
+		inst.Dense = append(inst.Dense, [][]float64{{d, 0.25}, {0.25, 2 - d/2}})
+	}
+	return &Request{Instance: inst, Eps: 0.3, Seed: 5, Engine: engine}
+}
+
+func TestMaximizeDigestHashesAutoUnresolved(t *testing.T) {
+	dAuto := digestOf(t, "maximize", maximizeAutoRequest("auto"))
+	if got := dAuto.String(); got != maximizeAutoDigest {
+		t.Fatalf("maximize auto digest %s, pinned %s", got, maximizeAutoDigest)
+	}
+	for _, name := range []string{"mmw", "alo"} {
+		if digestOf(t, "maximize", maximizeAutoRequest(name)) == dAuto {
+			t.Errorf("maximize auto hashed as %s", name)
+		}
+	}
+}

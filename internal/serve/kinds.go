@@ -32,10 +32,11 @@ type kindSpec struct {
 	// same eps — mixed.Solve calls core.ResolveEngine on its packing
 	// set), so "auto" and the explicit name of its pick share one
 	// content address. Kinds without it hash "auto" unresolved: maximize
-	// and solve re-resolve per inner decision call at TIGHTER accuracies
-	// (eps/4 and below), so a top-level resolution would not match what
-	// the solver runs. Auto is deterministic in the digested inputs, so
-	// the address stays sound there, just unmerged.
+	// resolves once at eps/4, not at the request's eps, and solve runs
+	// that Maximize on the normalized set, not the request's, so a
+	// top-level resolution would not match what the solver runs. Auto is
+	// deterministic in the digested inputs, so the address stays sound
+	// there, just unmerged.
 	resolveAuto bool
 	// deltaBase marks kinds /v1/delta can warm-start. Their solves of
 	// sparse-packed sets leave a revision behind: only those can be

@@ -56,8 +56,13 @@ func TestRaceSmokeKernels(t *testing.T) {
 	_ = matrix.SymMulAB(a, a, nil)
 	_ = matrix.Gram(a, nil)
 	_ = matrix.CongruenceDiag(a, v, nil)
-	out := make([]float64, 4)
-	matrix.DotMany(out, []*matrix.Dense{a, a, a, a}, 1, a)
+	// DotMany forks only past WorkGrain(64²) = 8 constraints.
+	as := make([]*matrix.Dense, 16)
+	for i := range as {
+		as[i] = a
+	}
+	out := make([]float64, len(as))
+	matrix.DotMany(out, as, 1, a)
 	dst := matrix.New(n, n)
 	matrix.LinComb(dst, []float64{0.5, -0.25}, []*matrix.Dense{a, a})
 	_ = a.MulVec(v)
