@@ -42,7 +42,7 @@ func Cholesky(a *matrix.Dense) (*matrix.Dense, error) {
 		l.Set(j, j, ljj)
 		// Rows below the pivot are independent given column j's prefix:
 		// the classical right-looking update, blocked over rows.
-		parallel.ForBlock(n-j-1, colGrain(j+1), func(lo, hi int) {
+		parallel.ForBlock(n-j-1, parallel.WorkGrain(j+1), func(lo, hi int) {
 			for i := j + 1 + lo; i < j+1+hi; i++ {
 				s := a.At(i, j)
 				lrow := l.Data[i*n : i*n+j]
@@ -55,16 +55,6 @@ func Cholesky(a *matrix.Dense) (*matrix.Dense, error) {
 		})
 	}
 	return l, nil
-}
-
-// colGrain picks a row-block grain so each forked block performs at
-// least ~4096 scalar operations when every row costs flopsPerRow.
-func colGrain(flopsPerRow int) int {
-	g := 4096 / flopsPerRow
-	if g < 1 {
-		g = 1
-	}
-	return g
 }
 
 // PivotedCholesky computes a rank-revealing factorization A ≈ Q Qᵀ of a
@@ -127,7 +117,7 @@ func PivotedCholeskyWS(ws *work.Workspace, a *matrix.Dense, tol float64) (q *mat
 		col := ws.Vec(n)
 		// Each entry of the new factor column depends only on the already
 		// computed columns, so the sweep blocks over rows.
-		parallel.ForBlock(n, colGrain(len(cols)+1), func(lo, hi int) {
+		parallel.ForBlock(n, parallel.WorkGrain(len(cols)+1), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				s := a.At(i, p)
 				for _, c := range cols {
@@ -139,7 +129,7 @@ func PivotedCholeskyWS(ws *work.Workspace, a *matrix.Dense, tol float64) (q *mat
 		col[p] = piv
 		cols = append(cols, col)
 		perm = append(perm, p)
-		parallel.ForBlock(n, 4096, func(lo, hi int) {
+		parallel.ForBlock(n, parallel.WorkGrain(2), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				diag[i] -= col[i] * col[i]
 			}

@@ -25,8 +25,7 @@ type MixedRun struct {
 // Σ xᵢAᵢ ≼ I over pack and cover·x ≥ 1 — through the loop DecisionPSDP
 // uses. It reads Options.Engine (EngineAuto resolved by ResolveEngine),
 // Oracle, Seed, SketchEps, MaxIter (0 means the engine's budget: R for
-// MMW, the O(ε⁻² log² N) cap for ALO), Ctx, Workspace, Phases and
-// Stats.
+// MMW, the O(ε⁻² log² N) cap for ALO), Ctx, Workspace and Phases.
 // warm, when it has length n and finite nonnegative entries, seeds the
 // iterate coordinate-wise above the cold start and below the caps.
 func RunMixed(pack ConstraintSet, cover *matrix.Dense, eps float64, opts Options, warm []float64) (*MixedRun, error) {

@@ -49,7 +49,8 @@ func (s *Solution) Gap() float64 {
 // bracket), then repeated decision calls on geometrically rescaled
 // instances until Upper ≤ (1+ε)·Lower. The engine is resolved once, at
 // eps/4, so EngineAuto's pick does not depend on the accuracy it then
-// selects, and every call runs on it at callEps. Every returned bound
+// selects, and every call runs on it at callEps; a bracket the looser
+// calls stall on is closed at eps/4 (see closeCalls). Every returned bound
 // is certified by an explicit witness, so the result does not depend on
 // trusting the proof constants.
 func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, error) {
@@ -108,8 +109,27 @@ func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, e
 
 	eng := ResolveEngine(opts.Engine, set, eps/4)
 	ceps := callEps(eng, eps)
+	limit := maxCalls
 	stalls := 0
-	for call := 0; call < maxCalls && hi > (1+eps)*lo; call++ {
+	decided := false // the last call reached Dual or Primal
+	for call := 0; hi > (1+eps)*lo; call++ {
+		if call >= limit || stalls >= 2 {
+			// Theory guarantees progress; randomized oracles may stall
+			// once on sketch noise (the next call reseeds), but repeated
+			// stalls mean the certificates have reached their numerical
+			// resolution at this accuracy. Decided calls looser than
+			// ε/4 can stall on a bracket still wider than 1+ε, so those
+			// close at ε/4 with closeCalls more calls. At ε/4, or after
+			// an inconclusive call (a MaxIter cap the tighter calls
+			// would hit too), the loop stops with the still-valid
+			// bracket.
+			if ceps == eps/4 || !decided {
+				break
+			}
+			ceps = eps / 4
+			stalls = 0
+			limit = call + closeCalls
+		}
 		// Cancellation checkpoint between decision calls: the bracket
 		// narrowed so far stays certified, but a cancelled caller wants
 		// its worker (and workspace) back, not a tighter bound.
@@ -133,6 +153,7 @@ func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, e
 		}
 		sol.DecisionCalls++
 		sol.TotalIterations += dr.Iterations
+		decided = dr.Outcome != OutcomeInconclusive
 
 		// Map certified bounds on the scaled instance back:
 		// OPT = θ·OPT_scaled.
@@ -162,19 +183,20 @@ func MaximizePacking(set ConstraintSet, eps float64, opts Options) (*Solution, e
 		if improved {
 			stalls = 0
 		} else {
-			// Theory guarantees progress; randomized oracles may stall
-			// once on sketch noise (the next call reseeds), but repeated
-			// stalls mean the certificates have reached their numerical
-			// resolution — stop with the still-valid bracket.
 			stalls++
-			if stalls >= 2 {
-				break
-			}
 		}
 	}
 	sol.Lower, sol.Upper = lo, hi
 	return sol, nil
 }
+
+// closeCalls is the number of ε/4 calls MaximizePacking grants a
+// bracket that its looser calls stopped on while still wider than 1+ε.
+// A call at accuracy δ and θ = √(lo·hi) certifies a bound within about
+// 1+δ of θ, so it can stall only once hi/lo ≤ (1+δ)². At δ = ε/2 that
+// window reaches past 1+ε; one ε/4 call from inside it leaves
+// hi/lo ≤ (1+ε/2)(1+ε/4) < 1+ε. The spare calls absorb sketch noise.
+const closeCalls = 4
 
 // callEps is the accuracy MaximizePacking runs each decision call at
 // under engine eng: ε/2 for MMW, ε/4 for ALO. MMW's iteration budget

@@ -183,6 +183,31 @@ func TestMaximizeAutoMatchesResolvedEngine(t *testing.T) {
 	}
 }
 
+// MMW's ε/2 calls can stall on a bracket still wider than 1+ε; the
+// ε/4 closing calls must bring it within ε. Without them these two
+// dense instances (found among 1152 RandomDense sets, n 3–10, m 4–10,
+// ε 0.15–0.5) stopped on two stalls at gaps 0.1524 and 0.1535.
+func TestMaximizeClosesStalledBracket(t *testing.T) {
+	const eps = 0.15
+	for _, c := range []struct {
+		n, m int
+		seed uint64
+	}{{7, 4, 5}, {10, 10, 5}} {
+		a := gen.RandomDense(c.n, c.m, 0, rand.New(rand.NewPCG(c.seed, uint64(c.n*100+c.m)))).A
+		set, err := NewDenseSet(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := MaximizePacking(set, eps, Options{Seed: c.seed, Engine: EngineMMW, Oracle: OracleDenseExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := sol.Gap(); g > eps {
+			t.Errorf("n=%d m=%d seed=%d: gap %.4f > ε = %g after %d calls", c.n, c.m, c.seed, g, eps, sol.DecisionCalls)
+		}
+	}
+}
+
 // BenchmarkMaximizeDense runs MaximizePacking at the shapes, engines and
 // accuracies of e2ebench dense-solve's four Maximize classes
 // (RandomDense sets, dense exact oracle, a warm workspace) and reports

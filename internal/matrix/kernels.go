@@ -279,11 +279,12 @@ func LinComb(dst *Dense, coeffs []float64, mats []*Dense) {
 			panic(dimErr("LinComb", dst, m))
 		}
 	}
-	if parallel.SerialBlock(sz, 2048) {
+	grain := parallel.WorkGrain(2 * len(mats))
+	if parallel.SerialBlock(sz, grain) {
 		linCombSeg(dst, coeffs, mats, 0, sz)
 		return
 	}
-	parallel.ForBlock(sz, 2048, func(lo, hi int) {
+	parallel.ForBlock(sz, grain, func(lo, hi int) {
 		linCombSeg(dst, coeffs, mats, lo, hi)
 	})
 }

@@ -14,11 +14,11 @@ func Add(dst, a, b *Dense) {
 	if a.R != b.R || a.C != b.C || dst.R != a.R || dst.C != a.C {
 		panic(dimErr("Add", a, b))
 	}
-	if parallel.SerialBlock(len(a.Data), 4096) {
+	if parallel.SerialBlock(len(a.Data), parallel.WorkGrain(1)) {
 		addSeg(dst.Data, a.Data, b.Data, 0, len(a.Data))
 		return
 	}
-	parallel.ForBlock(len(a.Data), 4096, func(lo, hi int) {
+	parallel.ForBlock(len(a.Data), parallel.WorkGrain(1), func(lo, hi int) {
 		addSeg(dst.Data, a.Data, b.Data, lo, hi)
 	})
 }
@@ -34,11 +34,11 @@ func Sub(dst, a, b *Dense) {
 	if a.R != b.R || a.C != b.C || dst.R != a.R || dst.C != a.C {
 		panic(dimErr("Sub", a, b))
 	}
-	if parallel.SerialBlock(len(a.Data), 4096) {
+	if parallel.SerialBlock(len(a.Data), parallel.WorkGrain(1)) {
 		subSeg(dst.Data, a.Data, b.Data, 0, len(a.Data))
 		return
 	}
-	parallel.ForBlock(len(a.Data), 4096, func(lo, hi int) {
+	parallel.ForBlock(len(a.Data), parallel.WorkGrain(1), func(lo, hi int) {
 		subSeg(dst.Data, a.Data, b.Data, lo, hi)
 	})
 }
@@ -79,11 +79,11 @@ func AXPYMany(dst *Dense, s []float64, xs []*Dense, idx []int) {
 			panic(dimErr("AXPYMany", dst, xs[i]))
 		}
 	}
-	if parallel.SerialBlock(len(dst.Data), 4096) {
+	if parallel.SerialBlock(len(dst.Data), parallel.WorkGrain(2*len(idx))) {
 		axpyManySeg(dst.Data, s, xs, idx, 0, len(dst.Data))
 		return
 	}
-	parallel.ForBlock(len(dst.Data), 4096, func(lo, hi int) {
+	parallel.ForBlock(len(dst.Data), parallel.WorkGrain(2*len(idx)), func(lo, hi int) {
 		axpyManySeg(dst.Data, s, xs, idx, lo, hi)
 	})
 }

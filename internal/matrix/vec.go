@@ -46,13 +46,13 @@ func BasisInto(v []float64, i int) {
 
 // VecAdd computes dst = a + b elementwise.
 func VecAdd(dst, a, b []float64) {
-	if parallel.SerialBlock(len(dst), 4096) {
+	if parallel.SerialBlock(len(dst), parallel.WorkGrain(1)) {
 		for i := range dst {
 			dst[i] = a[i] + b[i]
 		}
 		return
 	}
-	parallel.ForBlock(len(dst), 4096, func(lo, hi int) {
+	parallel.ForBlock(len(dst), parallel.WorkGrain(1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = a[i] + b[i]
 		}
@@ -61,13 +61,13 @@ func VecAdd(dst, a, b []float64) {
 
 // VecScale computes dst = s·a.
 func VecScale(dst []float64, s float64, a []float64) {
-	if parallel.SerialBlock(len(dst), 4096) {
+	if parallel.SerialBlock(len(dst), parallel.WorkGrain(1)) {
 		for i := range dst {
 			dst[i] = s * a[i]
 		}
 		return
 	}
-	parallel.ForBlock(len(dst), 4096, func(lo, hi int) {
+	parallel.ForBlock(len(dst), parallel.WorkGrain(1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = s * a[i]
 		}
@@ -76,13 +76,13 @@ func VecScale(dst []float64, s float64, a []float64) {
 
 // VecAXPY computes dst += s·x.
 func VecAXPY(dst []float64, s float64, x []float64) {
-	if parallel.SerialBlock(len(dst), 4096) {
+	if parallel.SerialBlock(len(dst), parallel.WorkGrain(2)) {
 		for i := range dst {
 			dst[i] += s * x[i]
 		}
 		return
 	}
-	parallel.ForBlock(len(dst), 4096, func(lo, hi int) {
+	parallel.ForBlock(len(dst), parallel.WorkGrain(2), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] += s * x[i]
 		}

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/work"
 )
 
@@ -154,9 +153,6 @@ type Options struct {
 	// Phases, when non-nil, accumulates the per-phase wall-time
 	// breakdown and the iteration count (as in core.Options).
 	Phases *core.SolveStats
-	// Stats, when non-nil, accumulates the packing oracle's analytic
-	// work and depth (as in core.Options).
-	Stats *parallel.Stats
 }
 
 // Solve searches for a bicriteria-feasible point of the mixed system at
@@ -179,7 +175,6 @@ func Solve(p *Problem, eps float64, opts Options) (*Result, error) {
 		Ctx:       opts.Ctx,
 		Workspace: opts.Workspace,
 		Phases:    opts.Phases,
-		Stats:     opts.Stats,
 	}, opts.WarmStart)
 	if err != nil {
 		return nil, err

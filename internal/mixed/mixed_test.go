@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
 // feasibleInstance builds a mixed instance with a known interior point:
@@ -279,49 +278,5 @@ func TestSolveFactoredPath(t *testing.T) {
 	if res.Status != StatusFeasible {
 		t.Fatalf("factored mixed solve failed: coverage %v λmax %v after %d iters",
 			res.MinCoverage, res.LambdaMax, res.Iterations)
-	}
-}
-
-// Options.Stats reaches the packing oracle: a diagonal 20×24 mixed LP
-// (the e2ebench mixed-LP shape) is charged the diagonal route's
-// 2·n·m + 4m work and 3·log₂m depth on every ratios call, one per
-// iteration, plus |b|·m work per coordinate update — never the
-// eigensolver route's 9m³.
-func TestSolveChargesDiagonalWorkModel(t *testing.T) {
-	const n, m, d = 20, 24, 12
-	lp, err := gen.MixedCoveringLP(n, m, d, 0.4, rand.New(rand.NewPCG(7, 8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack, err := core.NewDenseSet(lp.A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewProblem(pack, lp.C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []core.EngineKind{core.EngineMMW, core.EngineALO} {
-		var st parallel.Stats
-		res, err := Solve(p, 0.1, Options{Engine: eng, Oracle: core.OracleDenseExact, Stats: &st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters := int64(res.Iterations)
-		if iters == 0 {
-			t.Fatalf("%v: no iterations", eng)
-		}
-		ratios := iters * (2*n*m + 4*m)
-		upd := st.Work() - ratios
-		// Every update moves between 0 and n coordinates (a periodic
-		// rebuild charges nothing), each for m work.
-		if upd < 0 || upd%m != 0 || upd > iters*n*m {
-			t.Errorf("%v: work %d over %d iterations: %d beyond the ratio charge, want a multiple of m in [0, %d]",
-				eng, st.Work(), iters, upd, iters*n*m)
-		}
-		minDepth := iters * 3 * parallel.Log2(m)
-		if dep := st.Depth(); dep < minDepth || dep > minDepth+iters*parallel.Log2(n+1) {
-			t.Errorf("%v: depth %d over %d iterations, want [%d, %d]", eng, dep, iters, minDepth, minDepth+iters*parallel.Log2(n+1))
-		}
 	}
 }

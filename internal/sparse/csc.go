@@ -128,7 +128,7 @@ func (m *CSC) TMulVecInto(out, v []float64) {
 	if m.C > 0 {
 		avg = len(m.Val)/m.C + 1
 	}
-	grain := 4096/avg + 1
+	grain := parallel.WorkGrain(2 * avg)
 	if parallel.SerialBlock(m.C, grain) {
 		segDots(out, m.ColPtr, m.Row, m.Val, v, nil, 1, 0, m.C)
 		return
@@ -167,7 +167,7 @@ func (m *CSC) TMulBlockInto(out, v, scale []float64, k int) {
 	if k <= 0 || len(v) != m.R*k || len(out) != m.C*k || len(scale) != m.C {
 		panic("sparse: CSC.TMulBlockInto dimension mismatch")
 	}
-	grain := 4096/((len(m.Val)/max(m.C, 1)+1)*k) + 1
+	grain := parallel.WorkGrain(2 * (len(m.Val)/max(m.C, 1) + 1) * k)
 	if parallel.SerialBlock(m.C, grain) {
 		segDots(out, m.ColPtr, m.Row, m.Val, v, scale, k, 0, m.C)
 		return

@@ -80,7 +80,7 @@ func (m *CSR) MulVecTo(dst, v []float64) {
 	if m.R > 0 {
 		avg = len(m.Val)/m.R + 1
 	}
-	parallel.ForBlock(m.R, 4096/avg+1, func(lo, hi int) {
+	parallel.ForBlock(m.R, parallel.WorkGrain(2*avg), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s float64
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

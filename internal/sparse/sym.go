@@ -302,7 +302,7 @@ func (st *Stack) AccumulateScaled(out, x, v []float64) {
 	if st.M > 0 {
 		avg = len(st.Val)/st.M + 1
 	}
-	grain := 4096/avg + 1
+	grain := parallel.WorkGrain(2 * avg)
 	if parallel.SerialBlock(st.M, grain) {
 		st.accumRows(out, x, v, 0, st.M)
 		return
@@ -323,7 +323,7 @@ func (st *Stack) ApplyCoefBlock(out, coef, v []float64, k int) {
 	if k <= 0 || len(out) != st.M*k || len(v) != st.M*k || len(coef) != len(st.Val) {
 		panic("sparse: Stack.ApplyCoefBlock dimension mismatch")
 	}
-	grain := 4096/((len(st.Val)/max(st.M, 1)+1)*k) + 1
+	grain := parallel.WorkGrain(2 * (len(st.Val)/max(st.M, 1) + 1) * k)
 	if parallel.SerialBlock(st.M, grain) {
 		segDots(out, st.RowPtr, st.Col, coef, v, nil, k, 0, st.M)
 		return

@@ -63,14 +63,27 @@ func TestRaceSmokeKernels(t *testing.T) {
 	}
 	out := make([]float64, len(as))
 	matrix.DotMany(out, as, 1, a)
+	// LinComb forks once its n² entries pass WorkGrain(2·terms): from
+	// five terms on at n = 64.
 	dst := matrix.New(n, n)
-	matrix.LinComb(dst, []float64{0.5, -0.25}, []*matrix.Dense{a, a})
+	coeffs := make([]float64, 8)
+	for i := range coeffs {
+		coeffs[i] = 1 / float64(i+1)
+	}
+	matrix.LinComb(dst, coeffs, as[:len(coeffs)])
 	_ = a.MulVec(v)
 	_ = matrix.VecDot(v, v)
 
-	spd := matrix.Gram(a, nil) // PSD by construction
-	if _, _, err := chol.PivotedCholesky(spd, 1e-12); err != nil {
-		t.Fatal(err)
+	// PivotedCholesky's column sweep forks once n·(pivots+1) passes
+	// WorkGrain's floor: past 81 pivots at n = 400, so the factor has
+	// rank 96.
+	b := matrix.New(400, 96)
+	for i := range b.Data {
+		b.Data[i] = rng.NormFloat64()
+	}
+	spd := matrix.Gram(b, nil) // PSD by construction
+	if _, rank, err := chol.PivotedCholesky(spd, 1e-12); err != nil || rank != b.C {
+		t.Fatalf("PivotedCholesky: rank %d, err %v; want rank %d", rank, err, b.C)
 	}
 }
 
