@@ -28,8 +28,9 @@ func denseAllocRun(t *testing.T) *decisionRun {
 	}
 	// TheoryExact disables the early certificate exits, so the run lasts
 	// the full R = O(ε⁻³log²n) budget and the measured steps are honest
-	// mid-run iterations.
-	d, err := newDecisionRun(set.WithScale(0.5), 0.25, Options{Seed: 1, TheoryExact: true})
+	// mid-run iterations. At the critical scale some coordinates move and
+	// others do not, so Ψ's eigenbasis turns and the warm route sweeps.
+	d, err := newDecisionRun(set.WithScale(criticalScale(t, set)), 0.25, Options{Seed: 1, TheoryExact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +61,20 @@ func TestDenseDecisionStepZeroAlloc(t *testing.T) {
 
 // Dense steady state must stay allocation-free through the periodic Ψ
 // rebuild (every denseRebuildPeriod updates), which reuses the oracle's
-// Ψ matrix and coefficient scratch.
+// Ψ matrix and coefficient scratch, with the warm eigenbasis route
+// running Jacobi sweeps on either side of it and the full eigensolver
+// after it, and without a pool miss.
 func TestDenseDecisionRebuildZeroAlloc(t *testing.T) {
 	d := denseAllocRun(t)
-	for i := 0; i < 4; i++ {
+	o := d.orc.(*denseOracle)
+	// Every coordinate moves alike until the first ratio passes 1+ε, and
+	// Ψ's eigenbasis turns only after that.
+	for i := 0; i < 4 || (o.sweeps == 0 && !d.done); i++ {
 		if err := d.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sweeps, misses := o.sweeps, d.ws.Misses()
 	allocs := testing.AllocsPerRun(2*denseRebuildPeriod, func() {
 		if err := d.step(); err != nil {
 			t.Fatal(err)
@@ -78,6 +85,12 @@ func TestDenseDecisionRebuildZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("dense Decision iterations across a Ψ rebuild allocate %.2f per run, want 0", allocs)
+	}
+	if o.sweeps == sweeps || !o.warm {
+		t.Errorf("the warm route ran %d sweeps over the measured steps (warm basis kept: %v); the test needs it active", o.sweeps-sweeps, o.warm)
+	}
+	if got := d.ws.Misses(); got != misses {
+		t.Errorf("the measured steps missed the workspace's pools %d times, want 0", got-misses)
 	}
 }
 

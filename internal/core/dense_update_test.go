@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -65,68 +66,79 @@ func TestDenseUpdateMatchesAXPY(t *testing.T) {
 	}
 }
 
-// BenchmarkDenseOracleStep times one dense-oracle iteration, ratios
-// then update, at the decision scale of a mid-bisection call, on three
-// shapes: dense-8x8, dense-solve's Maximize classes (n = 8 constraints
-// of dimension 8); diag-20x24, its mixed-LP classes (n = 20 diagonal
-// constraints of dimension 24, which take the diagonal route); and
-// dense-20x24, the same shape with dense constraints. The update bumps
-// the coordinates whose ratio is at most 1+ε by a factor 1+1e-6, so x
-// and Ψ stay bounded over any b.N; a warm iteration allocates nothing.
+// BenchmarkDenseOracleStep times one step of a real MMW decision run —
+// ratios, the rule's pick and the Ψ update — with TheoryExact, at the
+// criticalScale, where the run bumps some coordinates and not others,
+// as Maximize's decision calls do. The run restarts on the same
+// workspace whenever it exits, so Ψ moves as the solver moves it.
+// dense-m<m> runs n = m random full-rank constraints of dimension m
+// (dense-m8 and dense-m10 are near dense-solve's 8×8 and 6×10 Maximize
+// shapes) twice: "warm" as the oracle runs, reporting the Jacobi sweeps
+// per step, and "full" with the kept basis dropped before every step,
+// so every call runs tred2 + tqli. diag-20x24 is dense-solve's mixed-LP
+// shape, which takes the diagonal route. A warm step allocates
+// nothing; restarts do.
 func BenchmarkDenseOracleStep(b *testing.B) {
 	rng := rand.New(rand.NewPCG(8, 8))
-	small := gen.RandomDense(8, 8, 0, rng).A
 	lp, err := gen.MixedCoveringLP(20, 24, 12, 0.4, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		as   []*matrix.Dense
-	}{
-		{"dense-8x8", small},
-		{"diag-20x24", lp.A},
-		{"dense-20x24", gen.RandomDense(20, 24, 0, rng).A},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			set, err := NewDenseSet(c.as)
-			if err != nil {
-				b.Fatal(err)
+	b.Run("diag-20x24", func(b *testing.B) {
+		benchDenseOracleStep(b, criticalSet(b, lp.A), true)
+	})
+	for _, m := range []int{8, 10, 16, 24, 32, 48} {
+		set := criticalSet(b, gen.RandomDense(m, m, 0, rng).A)
+		for _, warm := range []bool{true, false} {
+			route := "full"
+			if warm {
+				route = "warm"
 			}
-			benchDenseOracleStep(b, set)
-		})
+			b.Run(fmt.Sprintf("dense-m%d/%s", m, route), func(b *testing.B) {
+				benchDenseOracleStep(b, set, warm)
+			})
+		}
 	}
 }
 
-func benchDenseOracleStep(b *testing.B, set *DenseSet) {
-	d, err := newDecisionRun(set.WithScale(0.5), 0.25, Options{Seed: 1, TheoryExact: true})
+// criticalSet is as at its criticalScale.
+func criticalSet(b *testing.B, as []*matrix.Dense) ConstraintSet {
+	set, err := NewDenseSet(as)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.orc.release()
-	o := d.orc.(*denseOracle)
-	x := d.x
-	idx := make([]int, 0, len(x))
-	mults := make([]float64, len(x))
-	for i := range mults {
-		mults[i] = 1 + 1e-6
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		r, _, err := o.ratios()
+	return set.WithScale(criticalScale(b, set))
+}
+
+func benchDenseOracleStep(b *testing.B, set ConstraintSet, warm bool) {
+	opts := Options{Seed: 1, TheoryExact: true, Workspace: work.New()}
+	start := func() *decisionRun {
+		d, err := newDecisionRun(set, 0.25, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		idx = idx[:0]
-		for i, v := range r {
-			if v <= 1.25 {
-				idx = append(idx, i)
-				x[i] *= mults[0]
-			}
+		return d
+	}
+	d := start()
+	sweeps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		if d.done || d.t >= d.maxIter {
+			o := d.orc.(*denseOracle)
+			sweeps += o.sweeps
+			o.release()
+			d = start()
 		}
-		if err := o.update(idx, mults[:len(idx)], x); err != nil {
+		if !warm {
+			d.orc.(*denseOracle).warm = false
+		}
+		if err := d.step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	o := d.orc.(*denseOracle)
+	b.ReportMetric(float64(sweeps+o.sweeps)/float64(b.N), "sweeps/op")
+	o.release()
 }

@@ -70,10 +70,12 @@ func ParseEngine(s string) (EngineKind, error) {
 const autoEngineEps = 0.1
 
 // autoEngineDenseMinN keeps tiny dense instances on MMW under
-// EngineAuto: both engines pay the same m³ eigendecomposition per
-// iteration there, and MMW's sparse |B|-coordinate updates make its
-// iterations strictly cheaper, so the crossover needs enough
-// constraints for the iteration-count saving to pay.
+// EngineAuto: both engines pay a comparable O(m³) oracle per iteration
+// there (the dense oracle's warm eigenbasis refinement, 1.1–1.6 Jacobi
+// sweeps per call in either engine on dense-solve's 8×8 and 6×10
+// shapes), and MMW's sparse |B|-coordinate updates make its iterations
+// cheaper, so the crossover needs enough constraints for the
+// iteration-count saving to pay.
 const autoEngineDenseMinN = 8
 
 // ResolveEngine resolves EngineAuto to a concrete engine for an

@@ -73,6 +73,16 @@ type oracleInfo struct {
 // free — the property the internal/core allocation-regression tests
 // pin down.
 //
+// Between calls Ψ moves by a few small, scaled constraints, so the
+// previous call's eigenbasis nearly diagonalizes the next Ψ. The first
+// call after init and after every Ψ rebuild runs the full eigensolver
+// (tred2 + tqli); each later call refines the kept basis with warm
+// Jacobi sweeps (eigen.RefineSymEigenInto), usually zero to two, and
+// runs the full eigensolver instead whenever that cannot finish. Any
+// trace-1 PSD P certifies the upper bound, and the certificates
+// (lambdaMaxPsi, lambdaMaxAt, VerifyDual) stay on the full eigensolver,
+// so every certified bound stays exact.
+//
 // On a diagonal set (a positive LP) Ψ and P are diagonal, so the oracle
 // keeps only their diagonals (psiD, pD) and computes every value the
 // eigensolver route would, bit for bit, in O(n·m): tred2 leaves d =
@@ -92,7 +102,18 @@ type denseOracle struct {
 	r        []float64 // ratio buffer returned by ratios
 	// coeffs is the scaled-x scratch of the periodic Ψ rebuild.
 	coeffs []float64
-	dec    eigen.Decomposition
+	// dec is the last eigendecomposition of Ψ. After a warm call its
+	// values follow the basis's column order and are not sorted.
+	dec eigen.Decomposition
+	// warm reports that dec.Vectors is an eigenbasis of a Ψ that differs
+	// from the current one only by updates, so the next ratios call may
+	// refine it; rebuild clears it.
+	warm bool
+	// bm holds B = VᵀΨV for the warm route.
+	bm *matrix.Dense
+	// sweeps counts the warm route's Jacobi sweeps (tests and
+	// benchmarks read it).
+	sweeps int
 	// updatesSinceRebuild triggers a fresh Ψ = Σ xᵢAᵢ rebuild.
 	updatesSinceRebuild int
 	st                  *parallel.Stats
@@ -122,6 +143,7 @@ func (o *denseOracle) init(x []float64) error {
 		} else {
 			o.psi = o.ws.Mat(m, m)
 			o.p = o.ws.Mat(m, m)
+			o.bm = o.ws.Mat(m, m)
 		}
 	}
 	o.rebuild()
@@ -135,6 +157,7 @@ func (o *denseOracle) rebuild() {
 		o.set.psiDenseInto(o.psi, o.x, o.coeffs)
 	}
 	o.updatesSinceRebuild = 0
+	o.warm = false
 }
 
 func (o *denseOracle) update(b []int, mults []float64, x []float64) error {
@@ -176,7 +199,7 @@ func (o *denseOracle) ratios() ([]float64, oracleInfo, error) {
 	if o.ph != nil {
 		mark = time.Now()
 	}
-	lmax, logTr, err := expm.NormalizedExpSymInto(o.ws, o.psi, &o.dec, o.p)
+	lmax, logTr, err := o.expPsi()
 	if err != nil {
 		return nil, oracleInfo{}, err
 	}
@@ -186,10 +209,37 @@ func (o *denseOracle) ratios() ([]float64, oracleInfo, error) {
 	n := o.set.N()
 	m := o.set.m
 	matrix.DotMany(o.r, o.set.A, o.set.scale, o.p)
-	// Analytic cost: one m³ eigendecomposition + n·m² dot products.
-	o.st.Add(int64(9)*int64(m)*int64(m)*int64(m)+int64(2*n)*int64(m)*int64(m),
-		int64(m)*parallel.Log2(m))
+	// The n length-m² dot products.
+	o.st.Add(int64(2*n)*int64(m)*int64(m), parallel.Log2(m))
 	return o.r, oracleInfo{LambdaMax: lmax, LogTrW: logTr}, nil
+}
+
+// expPsi writes P = exp(Ψ)/Tr exp(Ψ) into o.p and returns λ_max(Ψ) and
+// log Tr exp(Ψ): by the warm route when the kept basis allows it,
+// otherwise (or when the warm route cannot finish) by the full
+// eigensolver, which returns its usual error or answer.
+func (o *denseOracle) expPsi() (lmax, logTr float64, err error) {
+	m := o.set.m
+	m64, lg := int64(m), parallel.Log2(m)
+	if o.warm {
+		// o.p is free until the exponential lands in it: it holds Ψ·V.
+		sweeps, ok := eigen.RefineSymEigenInto(o.psi, &o.dec, o.bm, o.p)
+		o.sweeps += sweeps
+		o.st.Add(eigen.RefineCost(m, sweeps))
+		if ok {
+			lmax, logTr, err = expm.NormalizedExpEigInto(o.ws, &o.dec, o.p)
+			if err == nil {
+				// The congruence V·diag(w)·Vᵀ and its trace.
+				o.st.Add(2*m64*m64*m64+m64, 2*lg)
+				return lmax, logTr, nil
+			}
+		}
+	}
+	lmax, logTr, err = expm.NormalizedExpSymInto(o.ws, o.psi, &o.dec, o.p)
+	// The eigendecomposition with its congruence.
+	o.st.Add(9*m64*m64*m64, m64*lg)
+	o.warm = err == nil
+	return lmax, logTr, err
 }
 
 // diagRatios is ratios on a diagonal set. Each value is computed by the
@@ -299,11 +349,13 @@ func (o *denseOracle) release() {
 		o.ws.PutVec(o.pD)
 	} else {
 		o.ws.PutMat(o.psi)
+		o.ws.PutMat(o.bm)
 	}
 	if o.p != nil {
 		o.ws.PutMat(o.p)
 	}
-	o.psi, o.p, o.psiD, o.pD, o.r, o.coeffs = nil, nil, nil, nil, nil, nil
+	o.psi, o.p, o.bm, o.psiD, o.pD, o.r, o.coeffs = nil, nil, nil, nil, nil, nil, nil
+	o.warm = false
 	if o.dec.Vectors != nil {
 		o.ws.PutMat(o.dec.Vectors)
 		o.ws.PutVec(o.dec.Values)

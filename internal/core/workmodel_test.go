@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/eigen"
 	"repro/internal/expm"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
@@ -69,7 +70,10 @@ func TestOperatorOracleWorkModel(t *testing.T) {
 
 // The dense oracle charges the work it does: on a diagonal set 2·n·m
 // for the ratio dots plus four O(m) passes per ratios call and |b|·m
-// per update, not the eigensolver route's 9m³ + 2·n·m² and |b|·m².
+// per update, not the eigensolver route's 9m³ + 2·n·m² and |b|·m². On
+// the eigensolver route, a call after an update takes the warm route:
+// eigen.RefineCost for its sweeps, 2m³ + m for the congruence and its
+// trace, and the same dots.
 func TestDenseOracleWorkModel(t *testing.T) {
 	const n, m = 5, 6
 	set := diagTestSet(t, n, m, rand.New(rand.NewPCG(8, 9)))
@@ -78,14 +82,15 @@ func TestDenseOracleWorkModel(t *testing.T) {
 		x[i] = 1 / (float64(n) * max(set.Trace(i), 1))
 	}
 	b, mults := []int{0, 2, 3}, []float64{1.1, 1.2, 1.3}
+	lg := parallel.Log2(m)
 	for _, c := range []struct {
 		name                 string
 		set                  *DenseSet
 		ratioWork, updWork   int64
 		ratioDepth, updDepth int64
 	}{
-		{"diagonal", set, 2*n*m + 4*m, int64(len(b)) * m, 3 * parallel.Log2(m), parallel.Log2(len(b) + 1)},
-		{"eigensolver", set.eigenRoute(), 9*m*m*m + 2*n*m*m, int64(len(b)) * m * m, m * parallel.Log2(m), parallel.Log2(len(b) + 1)},
+		{"diagonal", set, 2*n*m + 4*m, int64(len(b)) * m, 3 * lg, parallel.Log2(len(b) + 1)},
+		{"eigensolver", set.eigenRoute(), 9*m*m*m + 2*n*m*m, int64(len(b)) * m * m, m*lg + lg, parallel.Log2(len(b) + 1)},
 	} {
 		var st parallel.Stats
 		o := newDenseOracle(c.set, &st, nil)
@@ -103,6 +108,33 @@ func TestDenseOracleWorkModel(t *testing.T) {
 		}
 		if w, d := st.Work()-c.ratioWork, st.Depth()-c.ratioDepth; w != c.updWork || d != c.updDepth {
 			t.Fatalf("%s update: work %d depth %d, want %d %d", c.name, w, d, c.updWork, c.updDepth)
+		}
+		if o.psiD != nil {
+			continue
+		}
+		w0, d0 := st.Work(), st.Depth()
+		if _, _, err := o.ratios(); err != nil {
+			t.Fatal(err)
+		}
+		ww, wd := eigen.RefineCost(m, o.sweeps)
+		ww += 2*m*m*m + m + 2*n*m*m
+		wd += 3 * lg
+		if w, d := st.Work()-w0, st.Depth()-d0; w != ww || d != wd {
+			t.Fatalf("warm ratios after %d sweeps: work %d depth %d, want %d %d", o.sweeps, w, d, ww, wd)
+		}
+	}
+}
+
+// A sweep is charged n(n−1)/2 rotations of 12n flops at one depth unit
+// per round of disjoint pairs (n−1 rounds for even n, n for odd), and
+// each convergence test an n² reduction.
+func TestRefineCostPerSweep(t *testing.T) {
+	for _, c := range []struct{ n, rounds int }{{6, 5}, {7, 7}, {10, 9}} {
+		w0, d0 := eigen.RefineCost(c.n, 0)
+		w1, d1 := eigen.RefineCost(c.n, 1)
+		n := int64(c.n)
+		if w1-w0 != n*(n-1)/2*12*n+2*n*n || d1-d0 != int64(c.rounds)+parallel.Log2(c.n) {
+			t.Fatalf("n=%d: a sweep adds work %d depth %d", c.n, w1-w0, d1-d0)
 		}
 	}
 }

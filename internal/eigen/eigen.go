@@ -13,7 +13,9 @@ import (
 
 // Decomposition is a full symmetric eigendecomposition A = V Λ Vᵀ.
 type Decomposition struct {
-	// Values holds the eigenvalues in descending order.
+	// Values holds the eigenvalues: in descending order from
+	// SymEigenInto, in the basis's column order from
+	// RefineSymEigenInto.
 	Values []float64
 	// Vectors holds the corresponding orthonormal eigenvectors as
 	// columns: column j pairs with Values[j].
@@ -35,9 +37,12 @@ func SymEigen(a *matrix.Dense) (*Decomposition, error) {
 
 // SymEigenInto computes the eigendecomposition of a into dec, reusing
 // dec's storage when the shapes match — the zero-allocation form the
-// dense exponential oracle calls every MMW iteration. ws (which may be
-// nil) supplies two length-n scratch vectors and any storage dec is
-// missing; no allocation happens once dec and the workspace are warm.
+// dense exponential oracle calls on its first iteration, after each Ψ
+// rebuild and whenever its warm route (RefineSymEigenInto) cannot
+// finish: about 0.4% of its calls in dense-solve's Maximize. ws (which
+// may be nil) supplies two length-n scratch vectors and any storage dec
+// is missing; no allocation happens once dec and the workspace are
+// warm.
 // The basis is built, rotated and sorted in place as rows of
 // dec.Vectors, where every QL rotation streams two contiguous rows, and
 // transposed once at the end so that columns are eigenvectors.

@@ -65,7 +65,22 @@ func NormalizedExpSymInto(ws *work.Workspace, a *matrix.Dense, dec *eigen.Decomp
 	if err := eigen.SymEigenInto(ws, a, dec); err != nil {
 		return 0, 0, err
 	}
+	return NormalizedExpEigInto(ws, dec, dst)
+}
+
+// NormalizedExpEigInto is NormalizedExpSymInto's second half: the
+// probability matrix exp(A − λ_max I)/Tr of A = V·diag(Values)·Vᵀ, from
+// a decomposition dec whose values may come in any order (λ_max is the
+// first largest; on SymEigenInto's sorted values, Values[0]). The dense
+// oracle's warm route calls it on RefineSymEigenInto's output. It fails
+// only on a degenerate trace.
+func NormalizedExpEigInto(ws *work.Workspace, dec *eigen.Decomposition, dst *matrix.Dense) (lambdaMax, logTr float64, err error) {
 	lambdaMax = dec.Values[0]
+	for _, lam := range dec.Values[1:] {
+		if lam > lambdaMax {
+			lambdaMax = lam
+		}
+	}
 	// exp(Λ − λ_max I) computed inline rather than via Apply's function-
 	// valued parameter: a closure capturing lambdaMax would heap-allocate
 	// on every iteration.
