@@ -37,7 +37,8 @@ func CompareOracles(dense *DenseSet, fact *FactoredSet, sketchEps float64, seed 
 		return nil, nil, err
 	}
 
-	do := newDenseOracle(dense, nil, nil)
+	// Its single ratios call runs the full route, so no eta applies.
+	do := newDenseOracle(dense, 0, nil, nil)
 	if err := do.init(x); err != nil {
 		return nil, nil, err
 	}

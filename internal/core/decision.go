@@ -392,7 +392,7 @@ func newRunBase(set ConstraintSet, eps float64, opts Options, paramDim int) (*de
 	if ws == nil {
 		ws = work.New()
 	}
-	orc, err := buildOracle(set, opts, ws)
+	orc, err := buildOracle(set, eps, opts, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -805,12 +805,14 @@ func operatorFor(set ConstraintSet, kind string) (PsiOperator, error) {
 	return op, nil
 }
 
-func buildOracle(set ConstraintSet, opts Options, ws *work.Workspace) (expOracle, error) {
+// buildOracle returns the oracle opts selects for set. A dense oracle's
+// warm route stops at eta = eps/4, for the run's own eps.
+func buildOracle(set ConstraintSet, eps float64, opts Options, ws *work.Workspace) (expOracle, error) {
 	switch opts.Oracle {
 	case OracleAuto:
 		switch s := set.(type) {
 		case *DenseSet:
-			o := newDenseOracle(s, opts.Stats, ws)
+			o := newDenseOracle(s, eps/4, opts.Stats, ws)
 			o.ph = opts.Phases
 			return o, nil
 		case PsiOperator:
@@ -825,7 +827,7 @@ func buildOracle(set ConstraintSet, opts Options, ws *work.Workspace) (expOracle
 		if !ok {
 			return nil, errNotDense
 		}
-		o := newDenseOracle(s, opts.Stats, ws)
+		o := newDenseOracle(s, eps/4, opts.Stats, ws)
 		o.ph = opts.Phases
 		return o, nil
 	case OracleFactoredJL:

@@ -39,7 +39,7 @@ func lambdaMaxOf(a *matrix.Dense) float64 {
 		panic(err)
 	}
 	// VerifyDual with x=0 gives λmax(0)=0; do it properly via oracle:
-	o := newDenseOracle(set, nil, nil)
+	o := newDenseOracle(set, testEta, nil, nil)
 	if err := o.init([]float64{1}); err != nil {
 		panic(err)
 	}

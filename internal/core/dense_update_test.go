@@ -37,7 +37,7 @@ func TestDenseUpdateMatchesAXPY(t *testing.T) {
 			t.Fatal(err)
 		}
 		set = set.WithScale(0.37).(*DenseSet)
-		o := newDenseOracle(set, nil, work.New())
+		o := newDenseOracle(set, testEta, nil, work.New())
 		x := make([]float64, set.N())
 		for i := range x {
 			x[i] = rng.Float64()
@@ -73,8 +73,9 @@ func TestDenseUpdateMatchesAXPY(t *testing.T) {
 // workspace whenever it exits, so Ψ moves as the solver moves it.
 // dense-m<m> runs n = m random full-rank constraints of dimension m
 // (dense-m8 and dense-m10 are near dense-solve's 8×8 and 6×10 Maximize
-// shapes) twice: "warm" as the oracle runs, reporting the Jacobi sweeps
-// per step, and "full" with the kept basis dropped before every step,
+// shapes) twice: "warm" as the oracle runs, at eta = ε/4, reporting the
+// steps the shortcut accepted (shortcuts/op) and the Jacobi sweeps per
+// step, and "full" with the kept basis dropped before every step,
 // so every call runs tred2 + tqli. diag-20x24 is dense-solve's mixed-LP
 // shape, which takes the diagonal route. A warm step allocates
 // nothing; restarts do.
@@ -120,13 +121,14 @@ func benchDenseOracleStep(b *testing.B, set ConstraintSet, warm bool) {
 		return d
 	}
 	d := start()
-	sweeps := 0
+	sweeps, shortcuts := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		if d.done || d.t >= d.maxIter {
 			o := d.orc.(*denseOracle)
 			sweeps += o.sweeps
+			shortcuts += o.shortcuts
 			o.release()
 			d = start()
 		}
@@ -140,5 +142,6 @@ func benchDenseOracleStep(b *testing.B, set ConstraintSet, warm bool) {
 	b.StopTimer()
 	o := d.orc.(*denseOracle)
 	b.ReportMetric(float64(sweeps+o.sweeps)/float64(b.N), "sweeps/op")
+	b.ReportMetric(float64(shortcuts+o.shortcuts)/float64(b.N), "shortcuts/op")
 	o.release()
 }

@@ -120,8 +120,8 @@ func TestDiagOracleMatchesDense(t *testing.T) {
 		// so the tie between −0 and +0 is written in directly: sortDesc
 		// keeps the first of equal maxima, and λ_max carries its sign.
 		set := diagTestSet(t, 2, 3, rand.New(rand.NewPCG(4, 4)))
-		diag := newDenseOracle(set, nil, work.New())
-		dense := newDenseOracle(set.eigenRoute(), nil, work.New())
+		diag := newDenseOracle(set, testEta, nil, work.New())
+		dense := newDenseOracle(set.eigenRoute(), testEta, nil, work.New())
 		x := []float64{1, 1}
 		for _, o := range []*denseOracle{diag, dense} {
 			if err := o.init(x); err != nil {
@@ -156,7 +156,7 @@ func TestDiagOracleMatchesDense(t *testing.T) {
 		if near.diag != nil {
 			t.Fatal("a set with a 1e-300 off-diagonal entry was packed as diagonal")
 		}
-		o := newDenseOracle(near, nil, work.New())
+		o := newDenseOracle(near, testEta, nil, work.New())
 		if err := o.init([]float64{1, 1, 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestDiagOracleMatchesDense(t *testing.T) {
 		for _, x := range [][]float64{{math.Inf(1), 1, 1}, {1e308, 1e308, 1}, {math.NaN(), 0, 0}} {
 			var msgs [2]string
 			for j, s := range []*DenseSet{set, set.eigenRoute()} {
-				o := newDenseOracle(s, nil, work.New())
+				o := newDenseOracle(s, testEta, nil, work.New())
 				if err := o.init(x); err != nil {
 					t.Fatal(err)
 				}
@@ -194,8 +194,8 @@ func TestDiagOracleMatchesDense(t *testing.T) {
 // compares every ratios call.
 func checkOracleSteps(t *testing.T, set *DenseSet, rng *rand.Rand) {
 	n := set.N()
-	diag := newDenseOracle(set, nil, work.New())
-	dense := newDenseOracle(set.eigenRoute(), nil, work.New())
+	diag := newDenseOracle(set, testEta, nil, work.New())
+	dense := newDenseOracle(set.eigenRoute(), testEta, nil, work.New())
 	defer diag.release()
 	defer dense.release()
 	x := make([]float64, n)

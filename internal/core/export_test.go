@@ -9,9 +9,10 @@ import "repro/internal/work"
 // loop, built exactly as the loop builds it.
 type RefOracle struct{ o expOracle }
 
-// NewRefOracle builds the oracle opts selects on a private workspace.
-func NewRefOracle(set ConstraintSet, opts Options) (*RefOracle, error) {
-	o, err := buildOracle(set, opts, work.New())
+// NewRefOracle builds the oracle opts selects for a run at eps on a
+// private workspace.
+func NewRefOracle(set ConstraintSet, eps float64, opts Options) (*RefOracle, error) {
+	o, err := buildOracle(set, eps, opts, work.New())
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func referenceSolve(p *mixed.Problem, eps float64, opts mixed.Options) (*mixed.R
 			maxIter = prm.R
 		}
 	}
-	orc, err := core.NewRefOracle(p.Pack, core.Options{Oracle: opts.Oracle, Seed: opts.Seed, SketchEps: eps / 2})
+	orc, err := core.NewRefOracle(p.Pack, eps, core.Options{Oracle: opts.Oracle, Seed: opts.Seed, SketchEps: eps / 2})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -76,12 +76,18 @@ type oracleInfo struct {
 // Between calls Ψ moves by a few small, scaled constraints, so the
 // previous call's eigenbasis nearly diagonalizes the next Ψ. The first
 // call after init and after every Ψ rebuild runs the full eigensolver
-// (tred2 + tqli); each later call refines the kept basis with warm
-// Jacobi sweeps (eigen.RefineSymEigenInto), usually zero to two, and
-// runs the full eigensolver instead whenever that cannot finish. Any
-// trace-1 PSD P certifies the upper bound, and the certificates
-// (lambdaMaxPsi, lambdaMaxAt, VerifyDual) stay on the full eigensolver,
-// so every certified bound stays exact.
+// (tred2 + tqli); each later call refines the kept basis V
+// (eigen.RefineSymEigenInto) only until ‖offdiag VᵀΨV‖_F ≤ eta, which
+// most calls meet with no sweep and without forming VᵀΨV, and runs the
+// full eigensolver instead whenever that cannot finish. Such a call
+// returns the exact P, λ_max and log Tr exp of a Ψ̃ with ‖Ψ̃ − Ψ‖₂ ≤ eta,
+// so λ_max and log Tr exp are within eta of Ψ's. buildOracle sets eta
+// to ε/4 of the run's own ε: inexact ratios of the kind the paper's
+// Theorem 4.1 oracle uses too, whose values are only (1±ε)-accurate.
+// P is still a trace-1 PSD matrix, which is all the upper bound's
+// certificate needs, and the certificates (lambdaMaxPsi, lambdaMaxAt,
+// VerifyDual) stay on the full eigensolver, so every certified bound
+// stays exact.
 //
 // On a diagonal set (a positive LP) Ψ and P are diagonal, so the oracle
 // keeps only their diagonals (psiD, pD) and computes every value the
@@ -111,9 +117,12 @@ type denseOracle struct {
 	warm bool
 	// bm holds B = VᵀΨV for the warm route.
 	bm *matrix.Dense
-	// sweeps counts the warm route's Jacobi sweeps (tests and
-	// benchmarks read it).
-	sweeps int
+	// eta is the warm route's stopping rule: ‖offdiag VᵀΨV‖_F ≤ eta.
+	eta float64
+	// sweeps counts the warm route's Jacobi sweeps and shortcuts its
+	// calls that met eta without forming B (tests and benchmarks read
+	// them).
+	sweeps, shortcuts int
 	// updatesSinceRebuild triggers a fresh Ψ = Σ xᵢAᵢ rebuild.
 	updatesSinceRebuild int
 	st                  *parallel.Stats
@@ -124,8 +133,10 @@ type denseOracle struct {
 
 const denseRebuildPeriod = 256
 
-func newDenseOracle(set *DenseSet, st *parallel.Stats, ws *work.Workspace) *denseOracle {
-	return &denseOracle{set: set, st: st, ws: ws}
+// newDenseOracle returns a dense oracle whose warm route stops once the
+// kept basis diagonalizes Ψ to within eta (see denseOracle).
+func newDenseOracle(set *DenseSet, eta float64, st *parallel.Stats, ws *work.Workspace) *denseOracle {
+	return &denseOracle{set: set, eta: eta, st: st, ws: ws}
 }
 
 func (o *denseOracle) init(x []float64) error {
@@ -223,9 +234,12 @@ func (o *denseOracle) expPsi() (lmax, logTr float64, err error) {
 	m64, lg := int64(m), parallel.Log2(m)
 	if o.warm {
 		// o.p is free until the exponential lands in it: it holds Ψ·V.
-		sweeps, ok := eigen.RefineSymEigenInto(o.psi, &o.dec, o.bm, o.p)
+		sweeps, formed, ok := eigen.RefineSymEigenInto(o.psi, &o.dec, o.bm, o.p, o.eta)
 		o.sweeps += sweeps
-		o.st.Add(eigen.RefineCost(m, sweeps))
+		if ok && !formed {
+			o.shortcuts++
+		}
+		o.st.Add(eigen.RefineCost(m, sweeps, formed))
 		if ok {
 			lmax, logTr, err = expm.NormalizedExpEigInto(o.ws, &o.dec, o.p)
 			if err == nil {

@@ -306,7 +306,7 @@ func TestLambdaMaxAtZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o, err := buildOracle(set, Options{}, work.New())
+			o, err := buildOracle(set, 0.2, Options{}, work.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func TestLambdaMaxAtZeroAlloc(t *testing.T) {
 				t.Errorf("warm lambdaMaxAt allocates %.1f per call, want 0", allocs)
 			}
 			// The oracle's own ratios are a fresh oracle's.
-			fresh, err := buildOracle(set, Options{}, work.New())
+			fresh, err := buildOracle(set, 0.2, Options{}, work.New())
 			if err != nil {
 				t.Fatal(err)
 			}

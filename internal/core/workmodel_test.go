@@ -71,9 +71,11 @@ func TestOperatorOracleWorkModel(t *testing.T) {
 // The dense oracle charges the work it does: on a diagonal set 2·n·m
 // for the ratio dots plus four O(m) passes per ratios call and |b|·m
 // per update, not the eigensolver route's 9m³ + 2·n·m² and |b|·m². On
-// the eigensolver route, a call after an update takes the warm route:
-// eigen.RefineCost for its sweeps, 2m³ + m for the congruence and its
-// trace, and the same dots.
+// the eigensolver route, a call after an update takes the warm route
+// and is charged the path it took: eigen.RefineCost for the shortcut
+// alone (eta = 1e3) or for B's formation and any sweeps (eta = 1e-10;
+// on this diagonal set B is already diagonal), plus 2m³ + m for the congruence and its trace, and the same
+// dots.
 func TestDenseOracleWorkModel(t *testing.T) {
 	const n, m = 5, 6
 	set := diagTestSet(t, n, m, rand.New(rand.NewPCG(8, 9)))
@@ -86,14 +88,16 @@ func TestDenseOracleWorkModel(t *testing.T) {
 	for _, c := range []struct {
 		name                 string
 		set                  *DenseSet
+		eta                  float64
 		ratioWork, updWork   int64
 		ratioDepth, updDepth int64
 	}{
-		{"diagonal", set, 2*n*m + 4*m, int64(len(b)) * m, 3 * lg, parallel.Log2(len(b) + 1)},
-		{"eigensolver", set.eigenRoute(), 9*m*m*m + 2*n*m*m, int64(len(b)) * m * m, m*lg + lg, parallel.Log2(len(b) + 1)},
+		{"diagonal", set, testEta, 2*n*m + 4*m, int64(len(b)) * m, 3 * lg, parallel.Log2(len(b) + 1)},
+		{"shortcut", set.eigenRoute(), 1e3, 9*m*m*m + 2*n*m*m, int64(len(b)) * m * m, m*lg + lg, parallel.Log2(len(b) + 1)},
+		{"sweeps", set.eigenRoute(), 1e-10, 9*m*m*m + 2*n*m*m, int64(len(b)) * m * m, m*lg + lg, parallel.Log2(len(b) + 1)},
 	} {
 		var st parallel.Stats
-		o := newDenseOracle(c.set, &st, nil)
+		o := newDenseOracle(c.set, c.eta, &st, nil)
 		if err := o.init(x); err != nil {
 			t.Fatal(err)
 		}
@@ -116,24 +120,37 @@ func TestDenseOracleWorkModel(t *testing.T) {
 		if _, _, err := o.ratios(); err != nil {
 			t.Fatal(err)
 		}
-		ww, wd := eigen.RefineCost(m, o.sweeps)
+		if formed := c.eta < 1; formed == (o.shortcuts == 1) || !o.warm {
+			t.Fatalf("%s: %d shortcuts, kept basis %v", c.name, o.shortcuts, o.warm)
+		}
+		ww, wd := eigen.RefineCost(m, o.sweeps, o.shortcuts == 0)
 		ww += 2*m*m*m + m + 2*n*m*m
 		wd += 3 * lg
 		if w, d := st.Work()-w0, st.Depth()-d0; w != ww || d != wd {
-			t.Fatalf("warm ratios after %d sweeps: work %d depth %d, want %d %d", o.sweeps, w, d, ww, wd)
+			t.Fatalf("%s: warm ratios after %d sweeps: work %d depth %d, want %d %d", c.name, o.sweeps, w, d, ww, wd)
 		}
 	}
 }
 
-// A sweep is charged n(n−1)/2 rotations of 12n flops at one depth unit
-// per round of disjoint pairs (n−1 rounds for even n, n for odd), and
-// each convergence test an n² reduction.
+// The warm route's shortcut is charged T = a·V (2n³) and the column
+// dots with ‖a‖_F² (3n²) at depth 2·log₂n. Forming B adds its upper
+// triangle (n²(n+1)) and a convergence test (2n²), log₂n deep each; a
+// sweep adds n(n−1)/2 rotations of 12n flops plus another test, and one
+// depth unit per round of disjoint pairs (n−1 rounds for even n, n for
+// odd) plus log₂n.
 func TestRefineCostPerSweep(t *testing.T) {
 	for _, c := range []struct{ n, rounds int }{{6, 5}, {7, 7}, {10, 9}} {
-		w0, d0 := eigen.RefineCost(c.n, 0)
-		w1, d1 := eigen.RefineCost(c.n, 1)
-		n := int64(c.n)
-		if w1-w0 != n*(n-1)/2*12*n+2*n*n || d1-d0 != int64(c.rounds)+parallel.Log2(c.n) {
+		n, lg := int64(c.n), parallel.Log2(c.n)
+		ws, ds := eigen.RefineCost(c.n, 0, false)
+		if ws != 2*n*n*n+3*n*n || ds != 2*lg {
+			t.Fatalf("n=%d: the shortcut costs work %d depth %d", c.n, ws, ds)
+		}
+		w0, d0 := eigen.RefineCost(c.n, 0, true)
+		if w0-ws != n*n*(n+1)+2*n*n || d0-ds != 2*lg {
+			t.Fatalf("n=%d: forming B adds work %d depth %d", c.n, w0-ws, d0-ds)
+		}
+		w1, d1 := eigen.RefineCost(c.n, 1, true)
+		if w1-w0 != n*(n-1)/2*12*n+2*n*n || d1-d0 != int64(c.rounds)+lg {
 			t.Fatalf("n=%d: a sweep adds work %d depth %d", c.n, w1-w0, d1-d0)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/work"
 )
 
@@ -73,8 +72,6 @@ func SymEigenInto(ws *work.Workspace, a *matrix.Dense, dec *Decomposition) error
 			zt[i*n+j], zt[j*n+i] = zt[j*n+i], zt[i*n+j]
 		}
 	}
-	st := statsOf(a)
-	st.Add(int64(9)*int64(n)*int64(n)*int64(n), int64(n)*parallel.Log2(n))
 	return nil
 }
 
@@ -129,12 +126,7 @@ func eigenvaluesInto(ws *work.Workspace, a *matrix.Dense, d []float64) error {
 	err := tqli(d, e, n, nil)
 	ws.PutVec(e)
 	ws.PutMat(h)
-	if err != nil {
-		return err
-	}
-	st := statsOf(a)
-	st.Add(int64(4)*int64(n)*int64(n)*int64(n), int64(n)*parallel.Log2(n))
-	return nil
+	return err
 }
 
 // LambdaMax returns the largest eigenvalue of the symmetric matrix a.
@@ -266,16 +258,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-// stats hook: package-level recorder that callers may set to account
-// eigendecomposition work; nil disables. The solver wires its Stats in
-// via SetStats around timed sections (single-threaded configuration
-// phase), and experiments read it back out.
-var pkgStats *parallel.Stats
-
-// SetStats installs st as the work/depth recorder for this package's
-// decompositions. Pass nil to disable. Not safe to call concurrently
-// with decompositions.
-func SetStats(st *parallel.Stats) { pkgStats = st }
-
-func statsOf(_ *matrix.Dense) *parallel.Stats { return pkgStats }

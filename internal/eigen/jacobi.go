@@ -7,93 +7,142 @@ import (
 	"repro/internal/parallel"
 )
 
-// jacobiTol is the warm refinement's stopping rule: sweeps run until
-// ‖offdiag B‖_F ≤ jacobiTol·‖diag B‖_F.
-const jacobiTol = 1e-14
-
 // jacobiMaxSweeps caps a warm refinement; past it RefineSymEigenInto
 // reports failure and the caller runs the full eigensolver. Measured
 // over the dense oracle's Ψ sequences in Maximize on 32 random
 // instances of each of dense-solve's shapes (8×8 and 6×10, MMW and
-// ALO; 548,068 warm calls, cap lifted): 39.2% of calls ran 0 sweeps,
-// 0.6% ran 1, 42.5% ran 2 and 17.7% ran 3; none needed 4. A start from
-// the eigenbasis of an unrelated matrix needs 5–6 sweeps at n = 8 or
-// 10 and 7–8 at n = 24, so there the cap sends the call to the
-// eigensolver after three sweeps (each about 6n³ flops, against the
-// eigensolver's 9n³).
+// ALO, eta = ε/4 of each decision call's ε; 516,591 warm calls, cap
+// lifted): the shortcut accepted 75.8% of calls, 24.2% formed B and ran
+// one sweep, 34 ran none and 2 ran two; none needed three. A start
+// from the eigenbasis of an unrelated matrix (‖a‖₂ = 10, eta = 0.05)
+// needs 3 sweeps at n = 8, 3–4 at n = 10 and 4–5 at n = 24, so the cap
+// stops such a call after at most three sweeps (each about 6n³ flops,
+// against the eigensolver's 9n³).
 const jacobiMaxSweeps = 3
 
-// RefineSymEigenInto refines an orthonormal basis into an
-// eigendecomposition of the symmetric a: the warm-started route of the
-// dense oracle, whose Ψ moves by a few small, scaled constraints
+// shortcutGuard is the rounding allowance, relative to ‖a‖_F², of the
+// shortcut's ‖offdiag B‖_F² = ‖a‖_F² − Σₖ bₖₖ²: the difference cancels,
+// and its rounding error grows with ‖a‖_F², not with the difference.
+const shortcutGuard = 1e-12
+
+// RefineSymEigenInto refines an orthonormal basis V until it
+// diagonalizes the symmetric a to within eta: the warm-started route of
+// the dense oracle, whose Ψ moves by a few small, scaled constraints
 // between calls, so the previous call's eigenbasis nearly diagonalizes
 // the next Ψ.
 //
 // On entry dec.Vectors' columns are the basis V (for example, dec as
-// SymEigenInto or a previous call left it). The kernel forms B = VᵀaV
-// in b, using tmp (n-by-n, contents ignored) for aV, and runs cyclic
-// Jacobi sweeps on B, rotating V's columns with it, until
-// ‖offdiag B‖_F ≤ 1e-14·‖diag B‖_F; often no sweep is needed. A sweep
-// visits each of the n(n−1)/2 pairs once, in round-robin order: n−1
-// rounds (n when n is odd) of disjoint pairs, whose rotations touch
-// disjoint rows and columns and are independent, so a sweep has depth
-// O(n). On success dec.Values[k] = B[k][k] is the eigenvalue of column
-// k. Unlike SymEigenInto's, the values stay in the basis's order, not
-// sorted.
+// SymEigenInto or a previous call left it). On success dec.Values[k] =
+// B[k][k] of B = VᵀaV, in the basis's column order (not sorted, unlike
+// SymEigenInto's), with ‖offdiag B‖_F ≤ eta. So dec is the exact
+// eigendecomposition of ã = V·diag(B)·Vᵀ, and ‖ã − a‖₂ ≤ ‖ã − a‖_F =
+// ‖offdiag B‖_F ≤ eta: every eigenvalue of ã is within eta of a's
+// (Weyl), and so is log Tr exp.
 //
-// It reports ok = false, with dec.Vectors partly rotated, when B holds
-// a non-finite entry or the sweeps have not converged after
-// jacobiMaxSweeps; the caller then runs SymEigenInto on a, which
-// returns its usual error or answer. a is not checked for symmetry;
+// The kernel writes T = aV into tmp (n-by-n, contents ignored). Since
+// V is orthogonal, ‖offdiag B‖_F² = ‖a‖_F² − Σₖ bₖₖ², and bₖₖ is the dot
+// of V's and T's columns k; when that, plus a rounding guard of
+// 1e-12·‖a‖_F², is at most eta², the call returns with B unformed
+// (formed = false) and no sweep. Otherwise it forms B in b and runs
+// cyclic Jacobi sweeps on it, rotating V's columns with it, until
+// ‖offdiag B‖_F ≤ eta, skipping each rotation whose B[p][q]² ≤ eta²/n².
+// A sweep visits each of the n(n−1)/2 pairs once, in round-robin order:
+// n−1 rounds (n when n is odd) of disjoint pairs, whose rotations touch
+// disjoint rows and columns and are independent, so a sweep has depth
+// O(n).
+//
+// It reports ok = false, with dec.Vectors possibly rotated and
+// dec.Values overwritten, when a or B holds a non-finite value or the
+// sweeps have not converged after jacobiMaxSweeps; the caller then
+// runs SymEigenInto on a, which returns its usual error or answer. a is not checked for symmetry;
 // B is the upper triangle of Vᵀ(aV), mirrored. Nothing is allocated.
-func RefineSymEigenInto(a *matrix.Dense, dec *Decomposition, b, tmp *matrix.Dense) (sweeps int, ok bool) {
+func RefineSymEigenInto(a *matrix.Dense, dec *Decomposition, b, tmp *matrix.Dense, eta float64) (sweeps int, formed, ok bool) {
 	n := a.R
 	v := dec.Vectors
 	if v == nil || v.R != n || v.C != n || len(dec.Values) != n {
-		return 0, false
+		return 0, false, false
 	}
 	matrix.MulABInto(tmp, a, v, nil)
+	fro, dg := diagOfCongruence(dec.Values, v.Data, tmp.Data, a.Data, n)
+	if !(fro <= math.MaxFloat64) || !(dg <= math.MaxFloat64) {
+		return 0, false, false
+	}
+	if fro-dg+shortcutGuard*fro <= eta*eta {
+		return 0, false, true
+	}
 	congruenceUpper(b.Data, v.Data, tmp.Data, n)
-	sweeps, ok = jacobi(b.Data, v.Data, n)
+	sweeps, ok = jacobi(b.Data, v.Data, n, eta)
 	if ok {
 		for k := range dec.Values {
 			dec.Values[k] = b.Data[k*n+k]
 		}
 	}
-	return sweeps, ok
+	return sweeps, true, ok
+}
+
+// diagOfCongruence writes bₖₖ = Σᵢ V[i][k]·T[i][k], the diagonal of
+// B = VᵀT, into d and returns ‖a‖_F² and Σₖ bₖₖ². A non-finite entry
+// makes one of them non-finite.
+func diagOfCongruence(d, vd, td, ad []float64, n int) (fro, dg float64) {
+	d = d[:n]
+	for k := range d {
+		d[k] = 0
+	}
+	for i := 0; i < n; i++ {
+		vi, ti := vd[i*n : i*n+n][:len(d)], td[i*n : i*n+n][:len(d)]
+		for k, x := range vi {
+			d[k] += x * ti[k]
+		}
+	}
+	for _, x := range ad[:n*n] {
+		fro += x * x
+	}
+	for _, x := range d {
+		dg += x * x
+	}
+	return fro, dg
 }
 
 // jacobi runs cyclic sweeps on the symmetric bd, rotating vd's columns
-// with it, until the off-diagonal mass passes jacobiTol (ok) or B turns
-// out non-finite or jacobiMaxSweeps sweeps did not converge (not ok).
-func jacobi(bd, vd []float64, n int) (sweeps int, ok bool) {
+// with it, until ‖offdiag B‖_F ≤ eta (ok) or B turns out non-finite or
+// jacobiMaxSweeps sweeps did not converge (not ok).
+func jacobi(bd, vd []float64, n int, eta float64) (sweeps int, ok bool) {
+	tol := eta * eta
 	for ; ; sweeps++ {
 		off, dg := offDiagSq(bd, n)
 		if !(off <= math.MaxFloat64) || !(dg <= math.MaxFloat64) {
 			return sweeps, false
 		}
-		if off <= jacobiTol*jacobiTol*dg {
+		if off <= tol {
 			return sweeps, true
 		}
 		if sweeps == jacobiMaxSweeps {
 			return sweeps, false
 		}
-		jacobiSweep(bd, vd, n, jacobiTol*jacobiTol*dg/float64(n*n))
+		jacobiSweep(bd, vd, n, tol/float64(n*n))
 	}
 }
 
 // RefineCost is the analytic work and depth of one RefineSymEigenInto
-// call that ran the given number of sweeps, for callers to charge:
-//   - forming B: a·V (2n³) and the upper triangle of Vᵀ(aV) (n²(n+1)),
-//     depth log₂n each;
+// call that formed B (or not) and ran the given number of sweeps, for
+// callers to charge:
+//   - always, the shortcut's test: T = a·V (2n³, depth log₂n), then the
+//     n column dots and ‖a‖_F² (3n², depth log₂n);
+//   - once B is formed: its upper triangle Vᵀ(aV) (n²(n+1), depth
+//     log₂n), and a convergence test (an n² reduction, depth log₂n)
+//     before each sweep and after the last;
 //   - each sweep: n(n−1)/2 rotations of about 12n flops (two rows of B,
-//     two columns of V), depth one per round of disjoint pairs;
-//   - each convergence test: an n² reduction, depth log₂n.
-func RefineCost(n, sweeps int) (work, depth int64) {
-	n64, s := int64(n), int64(sweeps)
+//     two columns of V), depth one per round of disjoint pairs.
+func RefineCost(n, sweeps int, formed bool) (work, depth int64) {
+	n64, lg := int64(n), parallel.Log2(n)
+	work, depth = 2*n64*n64*n64+3*n64*n64, 2*lg
+	if !formed {
+		return work, depth
+	}
+	s := int64(sweeps)
 	rounds := n64 - 1 + n64%2
-	work = 2*n64*n64*n64 + n64*n64*(n64+1) + s*6*n64*n64*(n64-1) + (s+1)*2*n64*n64
-	depth = 2*parallel.Log2(n) + s*rounds + (s+1)*parallel.Log2(n)
+	work += n64*n64*(n64+1) + s*6*n64*n64*(n64-1) + (s+1)*2*n64*n64
+	depth += lg + s*rounds + (s+1)*lg
 	return work, depth
 }
 

@@ -39,11 +39,13 @@ func TestRoundPairCoversEveryPairOnce(t *testing.T) {
 	}
 }
 
-// refineFrom runs RefineSymEigenInto on a from the given basis.
+// refineFrom runs RefineSymEigenInto on a from the given basis, with
+// eta = 1e-12·‖a‖_F: below the shortcut's rounding guard, so B is
+// always formed and the sweeps run to eigensolver precision.
 func refineFrom(a, basis *matrix.Dense) (*Decomposition, int, bool) {
 	n := a.R
 	dec := &Decomposition{Vectors: basis.Clone(), Values: make([]float64, n)}
-	sweeps, ok := RefineSymEigenInto(a, dec, matrix.New(n, n), matrix.New(n, n))
+	sweeps, _, ok := RefineSymEigenInto(a, dec, matrix.New(n, n), matrix.New(n, n), 1e-12*a.FrobNorm())
 	return dec, sweeps, ok
 }
 
@@ -65,7 +67,8 @@ func maxOrthErr(v *matrix.Dense) float64 {
 
 // From the eigenbasis of a nearby matrix, the refinement converges in a
 // few sweeps to the eigensolver's spectrum, with an orthonormal basis
-// that diagonalizes a: AV = VΛ to rounding.
+// that diagonalizes a to within eta = 1e-12·‖a‖_F: ‖AV − VΛ‖_F, which
+// is ‖offdiag VᵀAV‖_F, is at most eta up to rounding.
 func TestRefineSymEigenMatchesSymEigen(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, n := range []int{1, 2, 7, 8, 10, 24} {
@@ -99,10 +102,11 @@ func TestRefineSymEigenMatchesSymEigen(t *testing.T) {
 		av := matrix.MulAB(a, dec.Vectors, nil)
 		for i := 0; i < n; i++ {
 			for k := 0; k < n; k++ {
-				if r := math.Abs(av.At(i, k) - dec.Values[k]*dec.Vectors.At(i, k)); r > 1e-13*scale {
-					t.Fatalf("n=%d: |(AV − VΛ)[%d][%d]| = %g", n, i, k, r)
-				}
+				av.Data[i*n+k] -= dec.Values[k] * dec.Vectors.At(i, k)
 			}
+		}
+		if r, eta := av.FrobNorm(), 1e-12*a.FrobNorm(); r > eta+1e-14*a.FrobNorm() {
+			t.Fatalf("n=%d: ‖AV − VΛ‖_F = %g, eta %g", n, r, eta)
 		}
 	}
 }
@@ -151,6 +155,105 @@ func TestRefineSymEigenFallsBack(t *testing.T) {
 	}
 }
 
+// On an exactly diagonal a, from the identity basis and from a signed
+// permutation of it, the shortcut accepts at once: no sweep, B never
+// formed, the basis left as it is and the values a's diagonal, bit for
+// bit, in the basis's order.
+func TestRefineShortcutOnDiagonal(t *testing.T) {
+	d := []float64{0.5, 3, -1, 0, 2, 7.25}
+	a := matrix.Diag(d)
+	n := len(d)
+	perm := []int{3, 0, 5, 1, 4, 2}
+	signed := matrix.New(n, n)
+	for k, i := range perm {
+		signed.Set(i, k, float64(1-2*(k%2)))
+	}
+	for _, c := range []struct {
+		name  string
+		basis *matrix.Dense
+		perm  []int
+	}{{"identity", matrix.Identity(n), []int{0, 1, 2, 3, 4, 5}}, {"signed-permutation", signed, perm}} {
+		dec := &Decomposition{Vectors: c.basis.Clone(), Values: make([]float64, n)}
+		b := matrix.New(n, n)
+		sweeps, formed, ok := RefineSymEigenInto(a, dec, b, matrix.New(n, n), 1e-3)
+		if !ok || formed || sweeps != 0 {
+			t.Fatalf("%s: ok = %v, formed = %v after %d sweeps, want the shortcut", c.name, ok, formed, sweeps)
+		}
+		for k, i := range c.perm {
+			if math.Float64bits(dec.Values[k]) != math.Float64bits(d[i]) {
+				t.Fatalf("%s: value %d = %v, want %v", c.name, k, dec.Values[k], d[i])
+			}
+		}
+		if !matrix.ApproxEqual(dec.Vectors, c.basis, 0) {
+			t.Fatalf("%s: the basis moved", c.name)
+		}
+		for _, x := range b.Data {
+			if x != 0 {
+				t.Fatalf("%s: the shortcut wrote B", c.name)
+			}
+		}
+	}
+}
+
+// At ‖a‖_F ≈ 1e8 the shortcut's ‖a‖_F² − Σₖ bₖₖ² is mostly rounding: a
+// = Q(D + E)Qᵀ with ‖E‖_F = 1e-2 off the diagonal, ten times eta, while
+// the difference's rounding error is of order one. The shortcut must
+// not accept, though in some of the cases the difference alone is
+// below eta² (the test requires one such case); the call forms B and
+// either sweeps to eta or falls back, and a success still meets the
+// contract ‖Q̃·diag(values)·Q̃ᵀ − a‖_F ≤ eta, up to the reconstruction's
+// own rounding.
+func TestRefineShortcutRejectsRounding(t *testing.T) {
+	const n, eta = 8, 1e-3
+	rng := rand.New(rand.NewPCG(11, 12))
+	unguardedBelow := 0
+	for c := 0; c < 16; c++ {
+		q, err := SymEigen(randSym(n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		de := matrix.New(n, n)
+		for i := 0; i < n; i++ {
+			de.Set(i, i, 1e8/math.Sqrt(n)*(0.5+rng.Float64()))
+		}
+		off := randSym(n, rng)
+		for i := 0; i < n; i++ {
+			off.Set(i, i, 0)
+		}
+		matrix.AXPY(de, 1e-2/off.FrobNorm(), off)
+		a := matrix.MulABT(matrix.MulAB(q.Vectors, de, nil), q.Vectors, nil)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				a.Set(j, i, a.At(i, j))
+			}
+		}
+
+		tmp := matrix.MulAB(a, q.Vectors, nil)
+		fro, dg := diagOfCongruence(make([]float64, n), q.Vectors.Data, tmp.Data, a.Data, n)
+		if fro-dg <= eta*eta {
+			unguardedBelow++
+		}
+
+		dec := &Decomposition{Vectors: q.Vectors.Clone(), Values: make([]float64, n)}
+		sweeps, formed, ok := RefineSymEigenInto(a, dec, matrix.New(n, n), matrix.New(n, n), eta)
+		if !formed {
+			t.Fatalf("case %d: the shortcut accepted ‖a‖_F² − Σb² = %g against eta² = %g", c, fro-dg, eta*eta)
+		}
+		if !ok {
+			continue
+		}
+		near := matrix.CongruenceDiag(dec.Vectors, dec.Values, nil)
+		diff := matrix.New(n, n)
+		matrix.Sub(diff, near, a)
+		if dist := diff.FrobNorm(); dist > eta+1e-14*a.FrobNorm() {
+			t.Fatalf("case %d, %d sweeps: ‖Ψ̃ − a‖_F = %g, eta %g", c, sweeps, dist, eta)
+		}
+	}
+	if unguardedBelow == 0 {
+		t.Fatal("no case put the unguarded difference below eta²; the test does not reach the guard")
+	}
+}
+
 // A refinement allocates nothing.
 func TestRefineSymEigenZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
@@ -165,7 +268,7 @@ func TestRefineSymEigenZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		a.Data[1] += 1e-6
 		a.Data[n] = a.Data[1]
-		if _, ok := RefineSymEigenInto(a, dec, b, tmp); !ok {
+		if _, _, ok := RefineSymEigenInto(a, dec, b, tmp, 1e-12*a.FrobNorm()); !ok {
 			t.Fatal("no convergence")
 		}
 	})
