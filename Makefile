@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-smoke vet lint ci fuzz bench bench-kernels bench-delta bench-engines bench-mixed bench-obs bench-cluster examples experiments serve load smoke-serve smoke-cluster e2ebench-test
+.PHONY: build test race race-smoke vet lint ci fuzz bench bench-kernels bench-delta bench-engines bench-mixed bench-obs examples experiments serve load smoke-serve smoke-cluster e2ebench-test
 
 ## build: compile every package and command
 build:
@@ -57,9 +57,10 @@ fuzz:
 e2ebench-test:
 	cd e2ebench && $(GO) test ./...
 
-## bench: refresh the committed kernel perf baseline BENCH_psdp.json
+## bench: refresh the kernel sections (meta, sizes, kernels, decision)
+## of the committed perf baseline BENCH_psdp.json
 bench:
-	$(GO) run ./cmd/psdpbench -kernels -bench-out BENCH_psdp.json
+	$(GO) run ./cmd/psdpbench -section kernels -bench-out BENCH_psdp.json
 
 ## bench-kernels: regression gate — re-measure the kernels into a
 ## scratch report and fail if any kernel is >1.05x slower than the
@@ -68,9 +69,7 @@ bench:
 ## after an intentional change.
 BENCH_CANDIDATE ?= /tmp/bench_psdp_candidate.json
 bench-kernels:
-	cp BENCH_psdp.json $(BENCH_CANDIDATE)
-	$(GO) run ./cmd/psdpbench -kernels -bench-out $(BENCH_CANDIDATE)
-	$(GO) run ./scripts/benchgate -baseline BENCH_psdp.json -candidate $(BENCH_CANDIDATE)
+	$(GO) run ./cmd/psdpbench -section kernels -bench-out $(BENCH_CANDIDATE) -baseline BENCH_psdp.json
 
 ## bench-delta: regenerate the incremental-serving baseline — boot
 ## psdpd, run the drifting-instance workload, record warm-vs-cold
@@ -83,27 +82,19 @@ bench-delta:
 ## under "engines" in BENCH_psdp.json (fails unless ALO uses strictly
 ## fewer iterations than MMW at the tight-eps point on every case)
 bench-engines:
-	sh scripts/bench_engines.sh
+	$(GO) run ./cmd/psdpbench -section engines -bench-out BENCH_psdp.json
 
 ## bench-mixed: regenerate the mixed packing/covering baseline under
 ## "mixed" in BENCH_psdp.json (fails unless both engines reach a
 ## verified feasible point on every witness-feasible instance)
 bench-mixed:
-	sh scripts/bench_mixed.sh
+	$(GO) run ./cmd/psdpbench -section mixed -bench-out BENCH_psdp.json
 
 ## bench-obs: regenerate the observability-overhead baseline under
 ## "obs" in BENCH_psdp.json (fails if telemetry adds allocations on the
 ## solver hot path or pushes the on/off cost ratio past the gates)
 bench-obs:
-	$(GO) run ./cmd/psdpbench -obs -bench-out BENCH_psdp.json
-
-## bench-cluster: regenerate the horizontal-scaling baseline under
-## "cluster" in BENCH_psdp.json — boot 1-, 2-, and 3-replica fleets
-## behind psdpfront, drive each with the unique-digest cold workload,
-## and fail unless req/s scales >=1.7x at two replicas and >=2.3x at
-## three versus one
-bench-cluster:
-	sh scripts/bench_cluster.sh
+	$(GO) run ./cmd/psdpbench -section obs -bench-out BENCH_psdp.json
 
 ## examples: compile every example program and run the mixedcover
 ## walkthrough end to end (CI runs this; mixedcover exits nonzero if
@@ -121,8 +112,8 @@ serve:
 	$(GO) run ./cmd/psdpd
 
 ## load: drive a running daemon with the closed-loop load generator and
-## record sustained req/s, latency percentiles, and cache-hit rate into
-## BENCH_psdp.json under the "serve" key
+## print sustained req/s, latency percentiles, and cache-hit rate
+## (nothing is written to BENCH_psdp.json)
 load:
 	$(GO) run ./cmd/psdpload -url http://127.0.0.1:8723 -concurrency 64 -duration 5s
 

@@ -1,9 +1,10 @@
-// Benchmark harness: one testing.B target per experiment table of
-// EXPERIMENTS.md (E1–E12). Each benchmark re-runs the corresponding
-// experiment kernel and reports its headline quantities as custom
-// metrics, so `go test -bench=. -benchmem` regenerates every number the
-// reproduction reports. The full human-readable tables come from
-// `go run ./cmd/psdpbench`.
+// Benchmark harness: one testing.B target per paper experiment table
+// (E1–E16; `go run ./cmd/psdpbench -list` names them and README's
+// Benchmarks section says how to run them). Each benchmark re-runs the
+// corresponding experiment kernel and reports its headline quantities
+// as custom metrics, so `go test -bench=. -benchmem` regenerates every
+// number the reproduction reports. The full human-readable tables come
+// from `go run ./cmd/psdpbench`.
 package psdp_test
 
 import (

@@ -1,20 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"time"
 
 	psdp "repro"
+	"repro/internal/benchfile"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// Engine head-to-head mode (-engines): run the MMW (Algorithm 3.1) and
-// ALO (arXiv:1507.02259) engines on the same instances across an ε
-// sweep and write the iteration counts and wall times under the
+// Engine head-to-head mode (-section engines): run the MMW (Algorithm
+// 3.1) and ALO (arXiv:1507.02259) engines on the same instances across
+// an ε sweep and write the iteration counts and wall times under the
 // "engines" key of BENCH_psdp.json. The mode GATES the committed
 // crossover claim: at the tight-ε point ALO must use strictly fewer
 // iterations than MMW on every case and both engines must reach the
@@ -185,7 +185,7 @@ func runEngineBench(path string, quick bool, seed uint64) error {
 			}
 		}
 	}
-	if err := mergeEnginesSection(path, &rep); err != nil {
+	if err := benchfile.Merge(path, map[string]any{"engines": &rep}); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (engines section, tight eps %.2f)\n", path, tight)
@@ -196,28 +196,4 @@ func runEngineBench(path string, quick bool, seed uint64) error {
 		return fmt.Errorf("%d engine-crossover gate violations", len(gateErrs))
 	}
 	return nil
-}
-
-// mergeEnginesSection rewrites only the "engines" key of the bench
-// baseline, leaving every other section (kernels, decision, serve,
-// serve.delta) byte-for-byte as the command that owns it wrote it.
-func mergeEnginesSection(path string, rep *enginesReport) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	enc, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["engines"] = enc
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

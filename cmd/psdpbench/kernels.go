@@ -3,22 +3,24 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"runtime"
 	"time"
 
 	psdp "repro"
+	"repro/internal/benchfile"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/sparse"
 )
 
-// Kernel benchmark mode (-kernels): times each dense hot-path kernel at
-// GOMAXPROCS=1 and GOMAXPROCS=N against a pure sequential reference and
-// writes the results as machine-readable JSON (BENCH_psdp.json). This
-// file is the perf baseline every later scaling PR is measured against.
+// Kernel benchmark mode (-section kernels): times each dense hot-path
+// kernel at GOMAXPROCS=1 and GOMAXPROCS=N against a pure sequential
+// reference and merges the results into BENCH_psdp.json, the perf
+// baseline later scaling changes are measured against.
 
 // kernelResult is one (kernel, size) measurement.
 type kernelResult struct {
@@ -66,35 +68,6 @@ type benchMeta struct {
 	GOMAXPROCS   int    `json:"gomaxprocs"`
 	NumCPU       int    `json:"num_cpu"`
 	DispatchPath string `json:"dispatch_path"`
-}
-
-// benchReport is the top-level BENCH_psdp.json document.
-type benchReport struct {
-	Meta      benchMeta        `json:"meta"`
-	GoVersion string           `json:"go_version"`
-	Procs     int              `json:"gomaxprocs"`
-	NumCPU    int              `json:"num_cpu"`
-	Sizes     []int            `json:"sizes"`
-	Kernels   []kernelResult   `json:"kernels"`
-	Decision  []decisionResult `json:"decision"`
-	// Serve is the serving-layer baseline owned by cmd/psdpload; a
-	// kernel rerun carries the existing section over untouched.
-	Serve json.RawMessage `json:"serve,omitempty"`
-	// ServeDelta is the incremental-solving (warm vs cold) baseline
-	// owned by cmd/psdpload -mode drift; preserved the same way.
-	ServeDelta json.RawMessage `json:"serve.delta,omitempty"`
-	// Engines is the MMW-vs-ALO head-to-head baseline owned by
-	// psdpbench -engines; preserved the same way.
-	Engines json.RawMessage `json:"engines,omitempty"`
-	// Mixed is the mixed packing/covering baseline owned by
-	// psdpbench -mixed; preserved the same way.
-	Mixed json.RawMessage `json:"mixed,omitempty"`
-	// Obs is the observability-overhead baseline owned by
-	// psdpbench -obs; preserved the same way.
-	Obs json.RawMessage `json:"obs,omitempty"`
-	// Cluster is the multi-replica scaling baseline owned by
-	// cmd/psdpload -mode cluster; preserved the same way.
-	Cluster json.RawMessage `json:"cluster,omitempty"`
 }
 
 // allocsPerOp measures heap allocations and bytes per invocation of op,
@@ -261,16 +234,29 @@ func sparseKernelTable() []benchKernel {
 	return ks
 }
 
-// runKernelBench measures every kernel at every size and writes the
-// JSON report to path.
-func runKernelBench(path string, sizes []int, seed uint64) error {
-	// Fail fast on an unwritable output path rather than after minutes
-	// of measurement.
-	probe, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
+// Kernel gate thresholds (see gateKernels). gateMinN is where the
+// cache-blocked tiles become load-bearing.
+const (
+	gateMaxRatio = 1.05
+	gateMinN     = 256
+)
+
+// runKernelBench measures every kernel at every size, merges the meta,
+// sizes, kernels and decision sections into path, and, when baseline
+// is non-empty, gates the fresh kernels against that file's.
+func runKernelBench(path, baseline string, sizes []int, seed uint64) error {
+	var base []kernelResult
+	if baseline != "" {
+		var err error
+		if base, err = loadKernels(baseline); err != nil {
+			return err
+		}
+	}
+	// Fail fast on an unwritable or malformed output file rather than
+	// after minutes of measurement.
+	if err := benchfile.Merge(path, nil); err != nil {
 		return err
 	}
-	probe.Close()
 
 	origProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(origProcs)
@@ -279,18 +265,13 @@ func runKernelBench(path string, sizes []int, seed uint64) error {
 		procs = origProcs
 	}
 
-	rep := benchReport{
-		Meta: benchMeta{
-			GoVersion:    runtime.Version(),
-			GOMAXPROCS:   procs,
-			NumCPU:       runtime.NumCPU(),
-			DispatchPath: matrix.DispatchPath(),
-		},
-		GoVersion: runtime.Version(),
-		Procs:     procs,
-		NumCPU:    runtime.NumCPU(),
-		Sizes:     sizes,
+	meta := benchMeta{
+		GoVersion:    runtime.Version(),
+		GOMAXPROCS:   procs,
+		NumCPU:       runtime.NumCPU(),
+		DispatchPath: matrix.DispatchPath(),
 	}
+	var results []kernelResult
 	for _, k := range append(kernelTable(), sparseKernelTable()...) {
 		for _, n := range sizes {
 			rng := rand.New(rand.NewPCG(seed, uint64(n)))
@@ -313,30 +294,98 @@ func runKernelBench(path string, sizes []int, seed uint64) error {
 			setProcs(1)
 			res.AllocsPerOp, res.BytesPerOp = allocsPerOp(par, 16)
 			runtime.GOMAXPROCS(origProcs)
-			rep.Kernels = append(rep.Kernels, res)
+			results = append(results, res)
 			fmt.Printf("%-16s n=%-5d seq %12.0f ns  par@1 %12.0f ns  par@%d %12.0f ns  speedup %.2fx  %6.1f allocs/op %9.0f B/op\n",
 				k.name, n, res.NsSeq, res.NsPar1, procs, res.NsParN, res.Speedup, res.AllocsPerOp, res.BytesPerOp)
 		}
 	}
-	rep.Decision = runDecisionBench()
-	// Preserve the psdpload sections across kernel reruns.
-	if data, err := os.ReadFile(path); err == nil {
-		var old benchReport
-		if json.Unmarshal(data, &old) == nil {
-			rep.Serve = old.Serve
-			rep.ServeDelta = old.ServeDelta
-			rep.Engines = old.Engines
-			rep.Mixed = old.Mixed
-			rep.Obs = old.Obs
-			rep.Cluster = old.Cluster
-		}
-	}
-	out, err := json.MarshalIndent(&rep, "", "  ")
+	err := benchfile.Merge(path, map[string]any{
+		"meta":     meta,
+		"sizes":    sizes,
+		"kernels":  results,
+		"decision": runDecisionBench(),
+	})
 	if err != nil {
 		return err
 	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
+	fmt.Printf("wrote %s (meta, sizes, kernels, decision sections)\n", path)
+	if baseline == "" {
+		return nil
+	}
+	if failures := gateKernels(os.Stdout, base, results); failures > 0 {
+		return fmt.Errorf("%d kernel gate failure(s) against %s", failures, baseline)
+	}
+	fmt.Printf("kernel gate: all kernels within %.2fx of %s at n >= %d, zero allocs/op\n",
+		gateMaxRatio, baseline, gateMinN)
+	return nil
+}
+
+// loadKernels reads the "kernels" section of a baseline report.
+func loadKernels(path string) ([]kernelResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep struct {
+		Kernels []kernelResult `json:"kernels"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(rep.Kernels) == 0 {
+		return nil, fmt.Errorf("%s: no kernels section", path)
+	}
+	return rep.Kernels, nil
+}
+
+// gateKernels checks fresh kernel results against a baseline, writes
+// one line per checked (kernel, n) to w, and returns the number of
+// failures. Two rules:
+//
+//  1. Speed: at n >= gateMinN, GOMAXPROCS=1 ns/op may not exceed
+//     gateMaxRatio times the baseline's.
+//  2. Allocations: no kernel may allocate per op at GOMAXPROCS=1 unless
+//     the baseline already records an allocation for the same
+//     (kernel, n) — VecDot's one multi-block reduction closure is the
+//     lone grandfathered case. MemStats deltas occasionally smear a
+//     background allocation across the measured window, so fractional
+//     values below 1 alloc/op count as zero.
+//
+// A kernel missing from the baseline is noted, not failed, so adding or
+// renaming a kernel does not require regenerating the baseline in the
+// same change.
+func gateKernels(w io.Writer, base, cand []kernelResult) (failures int) {
+	type key struct {
+		kernel string
+		n      int
+	}
+	ref := make(map[key]kernelResult, len(base))
+	for _, k := range base {
+		ref[key{k.Kernel, k.N}] = k
+	}
+	for _, k := range cand {
+		b, ok := ref[key{k.Kernel, k.N}]
+		if k.AllocsPerOp >= 1 && !(ok && b.AllocsPerOp >= 1) {
+			failures++
+			fmt.Fprintf(w, "FAIL %-18s n=%-5d %.1f allocs/op, want 0\n", k.Kernel, k.N, k.AllocsPerOp)
+		}
+		if k.N < gateMinN {
+			continue
+		}
+		if !ok {
+			fmt.Fprintf(w, "note %-18s n=%-5d has no baseline (new kernel or size)\n", k.Kernel, k.N)
+			continue
+		}
+		ratio := k.NsPar1 / b.NsPar1
+		status := "ok  "
+		if b.NsPar1 > 0 && ratio > gateMaxRatio {
+			failures++
+			status = "FAIL"
+		}
+		fmt.Fprintf(w, "%s %-18s n=%-5d %12.0f ns vs %12.0f ns baseline (%.2fx)\n",
+			status, k.Kernel, k.N, k.NsPar1, b.NsPar1, ratio)
+	}
+	return failures
 }
 
 // runDecisionBench measures end-to-end Decision calls — dense and

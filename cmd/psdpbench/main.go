@@ -1,15 +1,23 @@
-// Command psdpbench regenerates the experiment tables of EXPERIMENTS.md
-// and the dense-kernel performance baseline BENCH_psdp.json.
+// Command psdpbench regenerates the paper experiment tables (E1–E16;
+// `psdpbench -list` names them, README's Benchmarks section says how
+// to run them) and the sections of the committed benchmark baseline
+// BENCH_psdp.json.
 //
 // Usage:
 //
-//	psdpbench                 # run every experiment at full size
-//	psdpbench -table E3       # run one experiment
-//	psdpbench -quick          # small sizes (what the test suite runs)
-//	psdpbench -seed 7         # change the deterministic seed
-//	psdpbench -list           # list experiment ids
-//	psdpbench -kernels        # time the dense hot-path kernels at
-//	                          # GOMAXPROCS 1 vs N and write BENCH_psdp.json
+//	psdpbench                  # run every experiment at full size
+//	psdpbench -table E3        # run one experiment
+//	psdpbench -quick           # small sizes (what the test suite runs)
+//	psdpbench -seed 7          # change the deterministic seed
+//	psdpbench -list            # list experiment ids
+//	psdpbench -section kernels # time the hot-path kernels at GOMAXPROCS
+//	                           # 1 vs N and merge them into -bench-out;
+//	                           # -baseline FILE gates them against FILE
+//	psdpbench -section engines # likewise: engines, mixed, obs (each
+//	                           # gates its own claims)
+//
+// Each section merges only its own keys into -bench-out, leaving every
+// other section of the file byte-identical.
 package main
 
 import (
@@ -26,50 +34,41 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced instance sizes")
 	seed := flag.Uint64("seed", 2012, "deterministic seed for all randomness")
 	list := flag.Bool("list", false, "list experiments and exit")
-	kernels := flag.Bool("kernels", false, "benchmark the dense hot-path kernels and write -bench-out")
-	engines := flag.Bool("engines", false, "head-to-head MMW vs ALO engine benchmark; gates the tight-eps crossover and writes -bench-out")
-	mixedBench := flag.Bool("mixed", false, "mixed packing/covering benchmark; gates feasibility on witness-feasible instances and writes -bench-out")
-	obsBench := flag.Bool("obs", false, "observability overhead benchmark; gates zero telemetry allocs on the solver hot path and writes -bench-out")
-	benchOut := flag.String("bench-out", "BENCH_psdp.json", "output path for -kernels/-engines/-mixed JSON report")
+	section := flag.String("section", "", "benchmark section to measure, gate and merge into -bench-out: kernels, engines, mixed or obs; empty runs the experiments")
+	baseline := flag.String("baseline", "", "-section kernels: gate the fresh kernels against this report (fail on >1.05x ns/op at n>=256 or a new allocation)")
+	benchOut := flag.String("bench-out", "BENCH_psdp.json", "file the -section report is merged into")
 	flag.Parse()
 
-	if *obsBench {
-		if err := runObsBench(*benchOut, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "psdpbench: observability benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if *baseline != "" && *section != "kernels" {
+		fmt.Fprintln(os.Stderr, "psdpbench: -baseline applies to -section kernels only")
+		os.Exit(2)
 	}
-
-	if *engines {
-		if err := runEngineBench(*benchOut, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "psdpbench: engine benchmark failed: %v\n", err)
+	if *section != "" {
+		var err error
+		switch *section {
+		case "kernels":
+			// 127 and 257 are non-multiples of every tile, panel, and
+			// k-chunk dimension, so the edge/remainder paths are timed,
+			// not just the full-tile fast paths.
+			sizes := []int{127, 256, 257, 512, 1024}
+			if *quick {
+				sizes = []int{64, 128}
+			}
+			err = runKernelBench(*benchOut, *baseline, sizes, *seed)
+		case "engines":
+			err = runEngineBench(*benchOut, *quick, *seed)
+		case "mixed":
+			err = runMixedBench(*benchOut, *quick, *seed)
+		case "obs":
+			err = runObsBench(*benchOut, *quick, *seed)
+		default:
+			fmt.Fprintf(os.Stderr, "psdpbench: unknown section %q (want kernels, engines, mixed or obs)\n", *section)
+			os.Exit(2)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "psdpbench: %s benchmark failed: %v\n", *section, err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *mixedBench {
-		if err := runMixedBench(*benchOut, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "psdpbench: mixed benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *kernels {
-		// 127 and 257 are non-multiples of every tile, panel, and k-chunk
-		// dimension, so the edge/remainder paths are timed, not just the
-		// full-tile fast paths.
-		sizes := []int{127, 256, 257, 512, 1024}
-		if *quick {
-			sizes = []int{64, 128}
-		}
-		if err := runKernelBench(*benchOut, sizes, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "psdpbench: kernel benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
 		return
 	}
 

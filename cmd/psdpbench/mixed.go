@@ -1,20 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"time"
 
 	psdp "repro"
+	"repro/internal/benchfile"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// Mixed packing/covering mode (-mixed): solve witness-feasible mixed
-// instances from both generator families under both engines and write
-// the iteration counts and wall times under the "mixed" key of
+// Mixed packing/covering mode (-section mixed): solve witness-feasible
+// mixed instances from both generator families under both engines and
+// write the iteration counts and wall times under the "mixed" key of
 // BENCH_psdp.json. The mode GATES solver health: every run must end
 // verified feasible (the generators construct instances with a known
 // interior witness, so an inconclusive run is a solver regression, not
@@ -162,7 +162,7 @@ func runMixedBench(path string, quick bool, seed uint64) error {
 				"%s: engines disagree (mmw=%s, alo=%s)", c.name, mmw.Status, alo.Status))
 		}
 	}
-	if err := mergeMixedSection(path, &rep); err != nil {
+	if err := benchfile.Merge(path, map[string]any{"mixed": &rep}); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (mixed section, eps %.2f)\n", path, eps)
@@ -173,28 +173,4 @@ func runMixedBench(path string, quick bool, seed uint64) error {
 		return fmt.Errorf("%d mixed-feasibility gate violations", len(gateErrs))
 	}
 	return nil
-}
-
-// mergeMixedSection rewrites only the "mixed" key of the bench
-// baseline, leaving every other section byte-for-byte as the command
-// that owns it wrote it.
-func mergeMixedSection(path string, rep *mixedReport) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	enc, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["mixed"] = enc
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

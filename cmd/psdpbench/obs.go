@@ -11,6 +11,7 @@ import (
 	"runtime"
 
 	psdp "repro"
+	"repro/internal/benchfile"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/instio"
@@ -18,9 +19,9 @@ import (
 	"repro/internal/serve"
 )
 
-// Observability overhead mode (-obs): proves the "zero-overhead" claim
-// of the metrics layer with numbers, and gates the parts that must be
-// exactly zero.
+// Observability overhead mode (-section obs): proves the
+// "zero-overhead" claim of the metrics layer with numbers, and gates
+// the parts that must be exactly zero.
 //
 // Two measurements, each telemetry-on vs telemetry-off, interleaved
 // (timeOps minima) so drift hits both variants equally:
@@ -120,7 +121,7 @@ func runObsBench(path string, quick bool, seed uint64) error {
 			"serve: metrics-on request path is %.2fx the off cost (gate %.2fx)", sres.Ratio, serveRatioGate))
 	}
 
-	if err := mergeObsSection(path, &rep); err != nil {
+	if err := benchfile.Merge(path, map[string]any{"obs": &rep}); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (obs section)\n", path)
@@ -277,28 +278,4 @@ func measureObsServe(seed uint64) (obsServeResult, error) {
 		res.RpsOn = 1e9 / res.NsOn
 	}
 	return res, nil
-}
-
-// mergeObsSection rewrites only the "obs" key of the bench baseline,
-// leaving every other section byte-for-byte as its owning command wrote
-// it (same discipline as mergeEnginesSection).
-func mergeObsSection(path string, rep *obsReport) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	enc, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["obs"] = enc
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -9,7 +9,7 @@
 //	      [-cache 1024] [-revisions 128] [-timeout 30s] [-max-timeout 5m]
 //	      [-log json|text|off] [-slow 1s] [-no-metrics] [-ops-addr host:port]
 //	      [-cluster url1,url2,...] [-self url] [-probe-interval 500ms]
-//	      [-drain-grace 10s] [-solve-floor 0]
+//	      [-drain-grace 10s]
 //
 // Cluster mode: -cluster takes the full static member list (base URLs)
 // and -self names this replica's own entry. Placement is consistent
@@ -75,7 +75,6 @@ func main() {
 	self := flag.String("self", "", "this replica's own base URL as it appears in -cluster")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "cluster health-probe period")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "max wait for in-flight solves on SIGTERM")
-	solveFloor := flag.Duration("solve-floor", 0, "hold a worker at least this long per executed solve (capacity modeling for scaling benchmarks; 0 = off)")
 	flag.Parse()
 
 	defEngine, err := core.ParseEngine(*engine)
@@ -109,7 +108,6 @@ func main() {
 		DisableMetrics:  *noMetrics,
 		Logger:          logger,
 		SlowSolve:       *slow,
-		SolveFloor:      *solveFloor,
 	}
 
 	ctx, stopCluster := context.WithCancel(context.Background())

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/benchfile"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -156,7 +157,7 @@ func runDrift(url string, n, m, revisions int, drift, frac, eps float64, genSeed
 	out, _ := json.MarshalIndent(&rep, "", "  ")
 	fmt.Println(string(out))
 	if benchOut != "" {
-		if err := mergeBench(benchOut, "serve.delta", &rep); err != nil {
+		if err := benchfile.Merge(benchOut, map[string]any{"serve.delta": &rep}); err != nil {
 			fmt.Fprintf(os.Stderr, "psdpload: writing %s: %v\n", benchOut, err)
 			return 1
 		}

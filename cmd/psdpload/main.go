@@ -1,14 +1,14 @@
 // Command psdpload is a closed-loop load generator for psdpd: a fixed
 // set of concurrent clients each keeps exactly one request in flight
-// against the daemon for the test duration, then the run reports
-// sustained req/s, latency percentiles, and the cache-hit rate, and
-// merges them into BENCH_psdp.json under the "serve" key.
+// against the daemon for the test duration, then the run prints
+// sustained req/s, latency percentiles, and the cache-hit rate.
 //
 // Usage:
 //
 //	psdpload -url http://127.0.0.1:8723 [-concurrency 64] [-duration 5s]
 //	         [-endpoint decision] [-n 8] [-m 12] [-instances 4] [-seeds 2]
-//	         [-eps 0.25] [-wait 10s] [-bench-out BENCH_psdp.json]
+//	         [-eps 0.25] [-wait 10s]
+//	psdpload -mode drift [-bench-out BENCH_psdp.json] ...
 //
 // The workload is instances×seeds distinct requests cycled round-robin,
 // so after one cold pass every request is a cache hit (or a
@@ -62,7 +62,7 @@ type loadReport struct {
 
 func main() {
 	url := flag.String("url", "http://127.0.0.1:8723", "psdpd base URL")
-	mode := flag.String("mode", "steady", "steady (closed-loop load) | drift (incremental warm-vs-cold benchmark) | cluster (unique-digest scaling run)")
+	mode := flag.String("mode", "steady", "steady (closed-loop load) | drift (incremental warm-vs-cold benchmark)")
 	endpoint := flag.String("endpoint", "decision", "decision | maximize | mixed (steady mode)")
 	revisions := flag.Int("revisions", 16, "drift mode: number of chained revisions")
 	drift := flag.Float64("drift", 0.05, "drift mode: per-constraint scale drift bound")
@@ -77,11 +77,8 @@ func main() {
 	eps := flag.Float64("eps", 0.25, "target accuracy")
 	engine := flag.String("engine", "", "decision engine on every request: mmw, alo, auto, or \"\" for the server default")
 	genSeed := flag.Uint64("gen-seed", 7, "instance generator seed")
-	replicas := flag.Int("replicas", 1, "cluster mode: fleet size this run measures (merged under that key)")
-	floor := flag.Duration("floor", 0, "cluster mode: the replicas' -solve-floor, recorded in the bench section")
-	workersPer := flag.Int("workers-per-replica", 0, "cluster mode: the replicas' -workers, recorded in the bench section")
 	wait := flag.Duration("wait", 10*time.Second, "max time to wait for /healthz before starting")
-	benchOut := flag.String("bench-out", "BENCH_psdp.json", "merge the report under the \"serve\" key of this file (empty disables)")
+	benchOut := flag.String("bench-out", "BENCH_psdp.json", "drift mode: merge the report under the \"serve.delta\" key of this file (empty disables)")
 	flag.Parse()
 
 	if *endpoint != "decision" && *endpoint != "maximize" && *endpoint != "mixed" {
@@ -94,8 +91,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "psdpload: unknown engine %q (want mmw, alo, auto, or empty)\n", *engine)
 		os.Exit(2)
 	}
-	if *mode != "steady" && *mode != "drift" && *mode != "cluster" {
-		fmt.Fprintf(os.Stderr, "psdpload: unknown mode %q (want steady, drift, or cluster)\n", *mode)
+	if *mode != "steady" && *mode != "drift" {
+		fmt.Fprintf(os.Stderr, "psdpload: unknown mode %q (want steady or drift)\n", *mode)
 		os.Exit(2)
 	}
 	if err := waitHealthy(*url, *wait); err != nil {
@@ -104,10 +101,6 @@ func main() {
 	}
 	if *mode == "drift" {
 		os.Exit(runDrift(*url, *n, *m, *revisions, *drift, *driftFrac, *eps, *genSeed, *scale, *engine, *benchOut))
-	}
-	if *mode == "cluster" {
-		os.Exit(runCluster(*url, *replicas, *concurrency, *duration,
-			*n, *m, *eps, *genSeed, *engine, *floor, *workersPer, *benchOut))
 	}
 
 	bodies := buildBodies(*endpoint, *n, *m, *instances, *seeds, *eps, *genSeed, *engine)
@@ -169,12 +162,6 @@ func main() {
 
 	out, _ := json.MarshalIndent(&rep, "", "  ")
 	fmt.Println(string(out))
-	if *benchOut != "" {
-		if err := mergeBench(*benchOut, "serve", &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "psdpload: writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-	}
 	if rep.Errors > 0 {
 		fmt.Fprintf(os.Stderr, "psdpload: %d responses were neither 2xx nor 429\n", rep.Errors)
 		os.Exit(1)
@@ -328,29 +315,4 @@ func summarize(endpoint string, concurrency int, duration time.Duration, lats []
 		rep.CacheHitRate = float64(hits) / float64(len(lats))
 	}
 	return rep
-}
-
-// mergeBench inserts the report under key ("serve" for the steady
-// load, "serve.delta" for the drift benchmark) of the bench baseline,
-// preserving every other key (the kernel and decision tables psdpbench
-// owns).
-func mergeBench(path, key string, rep any) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing file is not a JSON object: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	enc, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc[key] = enc
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

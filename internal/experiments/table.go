@@ -1,5 +1,6 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in EXPERIMENTS.md (E1–E12), each regenerating the
+// per paper experiment, E1–E16 (`psdpbench -list` names them, README's
+// Benchmarks section says how to run them), each regenerating the
 // table that validates a theorem, lemma, or figure of the paper. The
 // functions are shared by cmd/psdpbench (human-readable tables) and the
 // repository's bench_test.go (testing.B wrappers with reported metrics).

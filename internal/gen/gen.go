@@ -1,5 +1,6 @@
 // Package gen generates the workload families used across the
-// experiment suite (EXPERIMENTS.md):
+// experiment suite (E1–E16; `psdpbench -list` names them, README's
+// Benchmarks section says how to run them):
 //
 //   - random dense/factored packing instances (E1, E2, E6, E7),
 //   - instances with closed-form optima — identical, orthogonal rank-1,

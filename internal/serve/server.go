@@ -87,10 +87,9 @@ type Config struct {
 	SelfURL string
 	// SolveFloor, when positive, holds the worker for at least this long
 	// per EXECUTED solve (cache hits and singleflight shares are
-	// unaffected). It exists for capacity modeling: on a machine with
-	// fewer cores than replicas under test, per-replica throughput is
-	// pinned to Workers/SolveFloor so cluster scaling measurements are
-	// honest about what they measure. Production deployments leave it 0.
+	// unaffected). It exists for tests that must keep a worker busy
+	// without relying on how fast a solve runs: drain and front-tier 429
+	// tests hold a request in flight with it. Deployments leave it 0.
 	SolveFloor time.Duration
 	// ClusterInfo, when non-nil, is sampled by /statsz into the
 	// "cluster" section (membership view, per-peer counters). The
@@ -851,9 +850,8 @@ func (s *Server) solveClosure(b *built, inst *instio.Instance, key digest, recor
 			}
 		}
 		if floor := s.cfg.SolveFloor; floor > 0 {
-			// Capacity modeling: the worker stays held until the floor
-			// elapses, so per-replica throughput is exactly
-			// Workers/SolveFloor regardless of how fast the solve ran.
+			// The worker stays held until the floor elapses, however
+			// fast the solve ran.
 			if rem := floor - time.Since(start); rem > 0 {
 				time.Sleep(rem)
 			}
