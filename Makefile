@@ -64,7 +64,8 @@ bench:
 
 ## bench-kernels: regression gate — re-measure the kernels into a
 ## scratch report and fail if any kernel is >1.05x slower than the
-## committed BENCH_psdp.json at n>=256, or allocates per op. The
+## committed BENCH_psdp.json at n>=256, or allocates per op. It
+## refuses a baseline measured at another num_cpu or gomaxprocs. The
 ## committed baseline is left untouched; refresh it with `make bench`
 ## after an intentional change.
 BENCH_CANDIDATE ?= /tmp/bench_psdp_candidate.json

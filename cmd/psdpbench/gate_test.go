@@ -38,3 +38,26 @@ func TestGateKernels(t *testing.T) {
 		})
 	}
 }
+
+func TestGateRefusesOtherMachine(t *testing.T) {
+	base := benchMeta{GoVersion: "go1.24.0", GOMAXPROCS: 1, NumCPU: 1}
+	if err := sameMachine(base, base); err != nil {
+		t.Fatalf("same meta refused: %v", err)
+	}
+	cases := []struct {
+		name  string
+		fresh benchMeta
+		want  string
+	}{
+		{"num_cpu differs", benchMeta{GOMAXPROCS: 1, NumCPU: 2}, "num_cpu 1 / gomaxprocs 1, this run at num_cpu 2 / gomaxprocs 1"},
+		{"gomaxprocs differs", benchMeta{GOMAXPROCS: 2, NumCPU: 1}, "num_cpu 1 / gomaxprocs 1, this run at num_cpu 1 / gomaxprocs 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := sameMachine(base, tc.fresh)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}

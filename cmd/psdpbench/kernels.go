@@ -245,32 +245,36 @@ const (
 // sizes, kernels and decision sections into path, and, when baseline
 // is non-empty, gates the fresh kernels against that file's.
 func runKernelBench(path, baseline string, sizes []int, seed uint64) error {
-	var base []kernelResult
-	if baseline != "" {
-		var err error
-		if base, err = loadKernels(baseline); err != nil {
-			return err
-		}
-	}
-	// Fail fast on an unwritable or malformed output file rather than
-	// after minutes of measurement.
-	if err := benchfile.Merge(path, nil); err != nil {
-		return err
-	}
-
 	origProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(origProcs)
 	procs := runtime.NumCPU()
 	if procs < origProcs {
 		procs = origProcs
 	}
-
 	meta := benchMeta{
 		GoVersion:    runtime.Version(),
 		GOMAXPROCS:   procs,
 		NumCPU:       runtime.NumCPU(),
 		DispatchPath: matrix.DispatchPath(),
 	}
+
+	// Fail fast on a baseline from another machine, or an unwritable or
+	// malformed output file, rather than after minutes of measurement.
+	var base []kernelResult
+	if baseline != "" {
+		baseMeta, kernels, err := loadKernels(baseline)
+		if err != nil {
+			return err
+		}
+		if err := sameMachine(baseMeta, meta); err != nil {
+			return fmt.Errorf("%s: %w", baseline, err)
+		}
+		base = kernels
+	}
+	if err := benchfile.Merge(path, nil); err != nil {
+		return err
+	}
+
 	var results []kernelResult
 	for _, k := range append(kernelTable(), sparseKernelTable()...) {
 		for _, n := range sizes {
@@ -320,22 +324,35 @@ func runKernelBench(path, baseline string, sizes []int, seed uint64) error {
 	return nil
 }
 
-// loadKernels reads the "kernels" section of a baseline report.
-func loadKernels(path string) ([]kernelResult, error) {
+// loadKernels reads the "meta" and "kernels" sections of a baseline
+// report.
+func loadKernels(path string) (benchMeta, []kernelResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return benchMeta{}, nil, err
 	}
 	var rep struct {
+		Meta    benchMeta      `json:"meta"`
 		Kernels []kernelResult `json:"kernels"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return benchMeta{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(rep.Kernels) == 0 {
-		return nil, fmt.Errorf("%s: no kernels section", path)
+		return benchMeta{}, nil, fmt.Errorf("%s: no kernels section", path)
 	}
-	return rep.Kernels, nil
+	return rep.Meta, rep.Kernels, nil
+}
+
+// sameMachine refuses to gate against a baseline measured at another
+// CPU count or GOMAXPROCS: ns/op from another parallel regime says
+// nothing about this one.
+func sameMachine(base, fresh benchMeta) error {
+	if base.NumCPU != fresh.NumCPU || base.GOMAXPROCS != fresh.GOMAXPROCS {
+		return fmt.Errorf("baseline measured at num_cpu %d / gomaxprocs %d, this run at num_cpu %d / gomaxprocs %d; re-record the baseline on this machine",
+			base.NumCPU, base.GOMAXPROCS, fresh.NumCPU, fresh.GOMAXPROCS)
+	}
+	return nil
 }
 
 // gateKernels checks fresh kernel results against a baseline, writes

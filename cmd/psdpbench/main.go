@@ -13,6 +13,7 @@
 //	psdpbench -section kernels # time the hot-path kernels at GOMAXPROCS
 //	                           # 1 vs N and merge them into -bench-out;
 //	                           # -baseline FILE gates them against FILE
+//	                           # (full sizes, same num_cpu/gomaxprocs)
 //	psdpbench -section engines # likewise: engines, mixed, obs (each
 //	                           # gates its own claims)
 //
@@ -35,12 +36,19 @@ func main() {
 	seed := flag.Uint64("seed", 2012, "deterministic seed for all randomness")
 	list := flag.Bool("list", false, "list experiments and exit")
 	section := flag.String("section", "", "benchmark section to measure, gate and merge into -bench-out: kernels, engines, mixed or obs; empty runs the experiments")
-	baseline := flag.String("baseline", "", "-section kernels: gate the fresh kernels against this report (fail on >1.05x ns/op at n>=256 or a new allocation)")
+	baseline := flag.String("baseline", "", "-section kernels, full sizes: gate the fresh kernels against this report, measured at the same num_cpu and gomaxprocs (fail on >1.05x ns/op at n>=256 or a new allocation)")
 	benchOut := flag.String("bench-out", "BENCH_psdp.json", "file the -section report is merged into")
 	flag.Parse()
 
 	if *baseline != "" && *section != "kernels" {
 		fmt.Fprintln(os.Stderr, "psdpbench: -baseline applies to -section kernels only")
+		os.Exit(2)
+	}
+	// The gate reads only n >= 256, and the quick sizes are not in a
+	// full-size baseline, so a quick gate could only fail on their
+	// allocation rows.
+	if *baseline != "" && *quick {
+		fmt.Fprintln(os.Stderr, "psdpbench: -baseline gates the full kernel sizes; drop -quick")
 		os.Exit(2)
 	}
 	if *section != "" {

@@ -3,8 +3,8 @@
 // factored form Aᵢ = QᵢQᵢᵀ; when the input is given as dense PSD
 // matrices, the preprocessing step the paper describes ("we can add a
 // preprocessing step that factors each Aᵢ") is the pivoted Cholesky
-// here. The package also builds the C^{±1/2} matrices of the Appendix A
-// normalization via eigendecompositions.
+// here. The package also builds the C^{-1/2} matrix of the Appendix A
+// normalization via an eigendecomposition.
 package chol
 
 import (
@@ -18,60 +18,18 @@ import (
 	"repro/internal/work"
 )
 
-// ErrNotPD is returned by Cholesky when the matrix is not (numerically)
-// positive definite.
-var ErrNotPD = errors.New("chol: matrix is not positive definite")
-
-// Cholesky computes the lower-triangular L with A = L Lᵀ for a
-// symmetric positive definite matrix. A is not modified.
-func Cholesky(a *matrix.Dense) (*matrix.Dense, error) {
-	if !a.IsSquare() {
-		return nil, fmt.Errorf("chol: matrix is %dx%d, want square", a.R, a.C)
-	}
-	n := a.R
-	l := matrix.New(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPD
-		}
-		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
-		// Rows below the pivot are independent given column j's prefix:
-		// the classical right-looking update, blocked over rows.
-		parallel.ForBlock(n-j-1, parallel.WorkGrain(j+1), func(lo, hi int) {
-			for i := j + 1 + lo; i < j+1+hi; i++ {
-				s := a.At(i, j)
-				lrow := l.Data[i*n : i*n+j]
-				jrow := l.Data[j*n : j*n+j]
-				for k, v := range lrow {
-					s -= v * jrow[k]
-				}
-				l.Set(i, j, s/ljj)
-			}
-		})
-	}
-	return l, nil
-}
-
-// PivotedCholesky computes a rank-revealing factorization A ≈ Q Qᵀ of a
-// symmetric PSD matrix, with Q of size n-by-rank. Pivots are chosen
-// greedily on the largest remaining diagonal; the process stops when the
-// remaining diagonal mass falls below tol·Tr(A) (tol <= 0 defaults to
-// 1e-12). Returns an error if A has a significantly negative diagonal
-// residual, which indicates the input was not PSD.
-func PivotedCholesky(a *matrix.Dense, tol float64) (q *matrix.Dense, rank int, err error) {
-	return PivotedCholeskyWS(nil, a, tol)
-}
-
-// PivotedCholeskyWS is PivotedCholesky drawing its per-pivot column
-// scratch and residual diagonal from ws, so batch factorization (one
-// pivoted Cholesky per constraint when densifying an instance) reuses
-// one set of buffers instead of allocating O(n·rank) per matrix. Only
-// the returned factor is freshly allocated.
+// PivotedCholeskyWS computes a rank-revealing factorization A ≈ Q Qᵀ
+// of a symmetric PSD matrix, with Q of size n-by-rank. Pivots are
+// chosen greedily on the largest remaining diagonal; the process stops
+// when the remaining diagonal mass falls below tol·Tr(A) (tol <= 0
+// defaults to 1e-12). Returns an error if A has a significantly
+// negative diagonal residual, which indicates the input was not PSD.
+//
+// The per-pivot column scratch and residual diagonal come from ws (nil
+// allocates them), so batch factorization (one pivoted Cholesky per
+// constraint when densifying an instance) reuses one set of buffers
+// instead of allocating O(n·rank) per matrix. Only the returned factor
+// is freshly allocated.
 func PivotedCholeskyWS(ws *work.Workspace, a *matrix.Dense, tol float64) (q *matrix.Dense, rank int, err error) {
 	if !a.IsSquare() {
 		return nil, 0, fmt.Errorf("chol: matrix is %dx%d, want square", a.R, a.C)
@@ -153,23 +111,6 @@ func PivotedCholeskyWS(ws *work.Workspace, a *matrix.Dense, tol float64) (q *mat
 		}
 	}
 	return q, rank, nil
-}
-
-// SqrtPSD returns the symmetric PSD square root A^{1/2} of a symmetric
-// PSD matrix, clipping eigenvalues below tol·λ_max to zero
-// (tol <= 0 defaults to 1e-12).
-func SqrtPSD(a *matrix.Dense, tol float64) (*matrix.Dense, error) {
-	dec, lmax, err := psdDecompose(a, &tol)
-	if err != nil {
-		return nil, err
-	}
-	cut := tol * lmax
-	return dec.Apply(func(x float64) float64 {
-		if x <= cut {
-			return 0
-		}
-		return math.Sqrt(x)
-	}), nil
 }
 
 // InvSqrtPSD returns the Moore–Penrose inverse square root A^{-1/2} of a

@@ -17,49 +17,11 @@ func randPSD(n, r int, rng *rand.Rand) *matrix.Dense {
 	return matrix.MulABT(g, g, nil)
 }
 
-func TestCholeskyKnown(t *testing.T) {
-	a := matrix.FromRows([][]float64{{4, 2}, {2, 5}})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matrix.FromRows([][]float64{{2, 0}, {1, 2}})
-	if !matrix.ApproxEqual(l, want, 1e-12) {
-		t.Fatalf("L = %v want %v", l, want)
-	}
-}
-
-func TestCholeskyReconstruct(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for _, n := range []int{1, 3, 10, 25} {
-		a := randPSD(n, n, rng)
-		matrix.AddScaledIdentity(a, 0.5) // ensure PD
-		l, err := Cholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		llt := matrix.MulABT(l, l, nil)
-		if !matrix.ApproxEqual(llt, a, 1e-9*float64(n)) {
-			t.Fatalf("n=%d: LLᵀ != A", n)
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := matrix.Diag([]float64{1, -1})
-	if _, err := Cholesky(a); err != ErrNotPD {
-		t.Fatalf("err = %v want ErrNotPD", err)
-	}
-	if _, err := Cholesky(matrix.New(2, 3)); err == nil {
-		t.Fatal("rectangular accepted")
-	}
-}
-
 func TestPivotedCholeskyFullRank(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	a := randPSD(8, 8, rng)
 	matrix.AddScaledIdentity(a, 0.1)
-	q, rank, err := PivotedCholesky(a, 0)
+	q, rank, err := PivotedCholeskyWS(nil, a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +38,7 @@ func TestPivotedCholeskyLowRank(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, r := range []int{1, 2, 4} {
 		a := randPSD(10, r, rng)
-		q, rank, err := PivotedCholesky(a, 1e-10)
+		q, rank, err := PivotedCholeskyWS(nil, a, 1e-10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +53,7 @@ func TestPivotedCholeskyLowRank(t *testing.T) {
 }
 
 func TestPivotedCholeskyZeroMatrix(t *testing.T) {
-	q, rank, err := PivotedCholesky(matrix.New(5, 5), 0)
+	q, rank, err := PivotedCholeskyWS(nil, matrix.New(5, 5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +64,8 @@ func TestPivotedCholeskyZeroMatrix(t *testing.T) {
 
 func TestPivotedCholeskyRejectsIndefinite(t *testing.T) {
 	a := matrix.FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, _, err := PivotedCholesky(a, 0); err == nil {
+	if _, _, err := PivotedCholeskyWS(nil, a, 0); err == nil {
 		t.Fatal("indefinite matrix accepted")
-	}
-}
-
-func TestSqrtPSD(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	a := randPSD(6, 6, rng)
-	s, err := SqrtPSD(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := matrix.MulAB(s, s, nil)
-	if !matrix.ApproxEqual(s2, a, 1e-9) {
-		t.Fatal("sqrt² != A")
 	}
 }
 
@@ -165,9 +114,6 @@ func TestInvSqrtRejectsIndefinite(t *testing.T) {
 	if _, _, err := InvSqrtPSD(a, 0); err == nil {
 		t.Fatal("indefinite accepted by InvSqrtPSD")
 	}
-	if _, err := SqrtPSD(a, 0); err == nil {
-		t.Fatal("indefinite accepted by SqrtPSD")
-	}
 }
 
 func TestQuickPivotedCholeskyAlwaysReconstructs(t *testing.T) {
@@ -176,7 +122,7 @@ func TestQuickPivotedCholeskyAlwaysReconstructs(t *testing.T) {
 		n := 1 + int(seed%8)
 		r := 1 + int((seed/8)%uint64(n))
 		a := randPSD(n, r, rng)
-		q, _, err := PivotedCholesky(a, 0)
+		q, _, err := PivotedCholeskyWS(nil, a, 0)
 		if err != nil {
 			return false
 		}

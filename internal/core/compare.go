@@ -28,7 +28,7 @@ func CompareOracles(dense *DenseSet, fact *FactoredSet, sketchEps float64, seed 
 		x[i] = 4 / (float64(n) * tr)
 	}
 
-	fo := newOpJLOracle(fact, sketchEps, seed, st, nil)
+	fo := newOpOracle(fact, true, sketchEps, seed, st, nil)
 	if err := fo.init(x); err != nil {
 		return nil, nil, err
 	}

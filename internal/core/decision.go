@@ -54,15 +54,16 @@ func ParamsFor(n, m int, eps float64) (Params, error) {
 type OracleKind int
 
 const (
-	// OracleAuto picks DenseExact for *DenseSet and FactoredJL for
-	// *FactoredSet.
+	// OracleAuto picks DenseExact for *DenseSet and FactoredJL for the
+	// factored and sparse sets; see ResolveOracle.
 	OracleAuto OracleKind = iota
 	// OracleDenseExact uses full eigendecompositions (reference path).
 	OracleDenseExact
 	// OracleFactoredJL is Theorem 4.1's sketched bigDotExp (fast path).
 	OracleFactoredJL
-	// OracleFactoredExact applies exp(Ψ/2) to every factor column and
-	// basis vector: deterministic, for cross-validation on small inputs.
+	// OracleFactoredExact applies exp(Ψ/2) to every basis vector:
+	// deterministic, for cross-validation on small inputs and for
+	// sparse sets.
 	OracleFactoredExact
 )
 
@@ -312,6 +313,7 @@ type decisionRun struct {
 	slack, threshold float64
 	maxIter          int
 	orc              expOracle
+	oracle           OracleKind // the resolved Options.Oracle
 	ws               *work.Workspace
 	n, m             int
 
@@ -392,7 +394,7 @@ func newRunBase(set ConstraintSet, eps float64, opts Options, paramDim int) (*de
 	if ws == nil {
 		ws = work.New()
 	}
-	orc, err := buildOracle(set, eps, opts, ws)
+	orc, oracle, err := buildOracle(set, eps, opts, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -409,6 +411,7 @@ func newRunBase(set ConstraintSet, eps float64, opts Options, paramDim int) (*de
 		slack:     slack,
 		threshold: 1 + eps,
 		orc:       orc,
+		oracle:    oracle,
 		ws:        ws,
 		n:         n,
 		m:         m,
@@ -701,7 +704,7 @@ func (d *decisionRun) finish() (*DecisionResult, error) {
 	// carries (1±ε_s) noise; inflate accordingly.
 	minAvg := math.Max(matrix.VecMin(res.AvgRatios), d.bestMinR)
 	if minAvg > 0 {
-		res.Upper = sketchInflation(set, opts) / minAvg
+		res.Upper = sketchInflation(d.oracle, opts.SketchEps) / minAvg
 	} else {
 		res.Upper = math.Inf(1)
 	}
@@ -709,8 +712,8 @@ func (d *decisionRun) finish() (*DecisionResult, error) {
 	// density matrix (exp(Ψ/2) applied column-exactly) usually certifies
 	// a far tighter upper bound than the inflated sketch average. Cost:
 	// m ExpMV sweeps, once per decision call.
-	if op, ok := set.(PsiOperator); ok && usesJL(set, opts) && op.Dim() <= exactFinalBoundDim {
-		exact := newOpExactOracle(op, opts.Seed^0xbead, nil, d.ws)
+	if d.oracle == OracleFactoredJL && d.m <= exactFinalBoundDim {
+		exact := newOpOracle(set.(PsiOperator), false, 0, opts.Seed^0xbead, nil, d.ws)
 		// d.orcX is the vector the run's oracle saw (x for MMW, x/μ for
 		// ALO); either way exp(Ψ(orcX))/Tr is a trace-1 density matrix,
 		// so its min ratio certifies an upper bound by weak duality.
@@ -761,28 +764,13 @@ func bucketSteps(r, threshold, eps, alpha float64) int {
 	return k
 }
 
-// usesJL reports whether the run used the sketched operator oracle
-// (OracleAuto resolves to it for every PsiOperator representation,
-// mirroring buildOracle; DenseSet does not implement the interface).
-func usesJL(set ConstraintSet, opts Options) bool {
-	if opts.Oracle == OracleFactoredJL {
-		return true
-	}
-	if opts.Oracle == OracleAuto {
-		_, ok := set.(PsiOperator)
-		return ok
-	}
-	return false
-}
-
 // sketchInflation returns the multiplicative margin applied to the
 // weak-duality upper bound to cover JL estimation noise: (1+εₛ)/(1−εₛ)
-// on the sketched path, 1 elsewhere.
-func sketchInflation(set ConstraintSet, opts Options) float64 {
-	if !usesJL(set, opts) {
+// for the resolved oracle kind OracleFactoredJL, 1 for the others.
+func sketchInflation(kind OracleKind, es float64) float64 {
+	if kind != OracleFactoredJL {
 		return 1
 	}
-	es := opts.SketchEps
 	if es <= 0 {
 		es = 0.2
 	}
@@ -792,63 +780,22 @@ func sketchInflation(set ConstraintSet, opts Options) float64 {
 	return (1 + es) / (1 - es)
 }
 
-// operatorFor returns the PsiOperator view of a set, which is what the
-// operator oracles (JL and exact) accept. DenseSet does not implement
-// the interface (its auto path is the eigendecomposition oracle and it
-// would silently lose its exactness guarantees behind a sketched
-// oracle), so the assertion alone rejects it.
-func operatorFor(set ConstraintSet, kind string) (PsiOperator, error) {
-	op, ok := set.(PsiOperator)
-	if !ok {
-		return nil, fmt.Errorf("core: %s requires a factored or sparse constraint set, got %T", kind, set)
+// buildOracle resolves the oracle opts selects for set (ResolveOracle)
+// and builds it. A dense oracle's warm route stops at eta = eps/4, for
+// the run's own eps.
+func buildOracle(set ConstraintSet, eps float64, opts Options, ws *work.Workspace) (expOracle, OracleKind, error) {
+	kind, err := ResolveOracle(opts.Oracle, set)
+	if err != nil {
+		return nil, kind, err
 	}
-	return op, nil
-}
-
-// buildOracle returns the oracle opts selects for set. A dense oracle's
-// warm route stops at eta = eps/4, for the run's own eps.
-func buildOracle(set ConstraintSet, eps float64, opts Options, ws *work.Workspace) (expOracle, error) {
-	switch opts.Oracle {
-	case OracleAuto:
-		switch s := set.(type) {
-		case *DenseSet:
-			o := newDenseOracle(s, eps/4, opts.Stats, ws)
-			o.ph = opts.Phases
-			return o, nil
-		case PsiOperator:
-			o := newOpJLOracle(s, opts.SketchEps, opts.Seed, opts.Stats, ws)
-			o.ph = opts.Phases
-			return o, nil
-		default:
-			return nil, fmt.Errorf("core: unknown constraint set type %T", set)
-		}
-	case OracleDenseExact:
-		s, ok := set.(*DenseSet)
-		if !ok {
-			return nil, errNotDense
-		}
-		o := newDenseOracle(s, eps/4, opts.Stats, ws)
+	if kind == OracleDenseExact {
+		o := newDenseOracle(set.(*DenseSet), eps/4, opts.Stats, ws)
 		o.ph = opts.Phases
-		return o, nil
-	case OracleFactoredJL:
-		op, err := operatorFor(set, "OracleFactoredJL")
-		if err != nil {
-			return nil, err
-		}
-		o := newOpJLOracle(op, opts.SketchEps, opts.Seed, opts.Stats, ws)
-		o.ph = opts.Phases
-		return o, nil
-	case OracleFactoredExact:
-		op, err := operatorFor(set, "OracleFactoredExact")
-		if err != nil {
-			return nil, err
-		}
-		o := newOpExactOracle(op, opts.Seed, opts.Stats, ws)
-		o.ph = opts.Phases
-		return o, nil
-	default:
-		return nil, fmt.Errorf("core: unknown oracle kind %d", opts.Oracle)
+		return o, kind, nil
 	}
+	o := newOpOracle(set.(PsiOperator), kind == OracleFactoredJL, opts.SketchEps, opts.Seed, opts.Stats, ws)
+	o.ph = opts.Phases
+	return o, kind, nil
 }
 
 func maxInt3(a, b, c int) int {

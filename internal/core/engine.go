@@ -98,6 +98,44 @@ func ResolveEngine(kind EngineKind, set ConstraintSet, eps float64) EngineKind {
 	return EngineALO
 }
 
+// ResolveOracle is the one rule that maps an oracle kind and a
+// constraint set to the oracle a run uses. OracleAuto resolves to
+// OracleDenseExact on a *DenseSet and to OracleFactoredJL on every
+// PsiOperator representation (factored and sparse). A concrete kind
+// passes through when the set supports it: the dense oracle needs a
+// *DenseSet, and both modes of the operator oracle need a PsiOperator
+// (DenseSet does not implement it: behind a sketched oracle it would
+// silently lose its exactness guarantees). Only the set's dynamic type is read, so a nil
+// *DenseSet stands for a dense set not built yet.
+func ResolveOracle(kind OracleKind, set ConstraintSet) (OracleKind, error) {
+	_, dense := set.(*DenseSet)
+	_, op := set.(PsiOperator)
+	switch kind {
+	case OracleAuto:
+		if dense {
+			return OracleDenseExact, nil
+		}
+		if op {
+			return OracleFactoredJL, nil
+		}
+		return kind, fmt.Errorf("core: unknown constraint set type %T", set)
+	case OracleDenseExact:
+		if !dense {
+			return kind, fmt.Errorf("core: OracleDenseExact requires a dense constraint set, got %T", set)
+		}
+	case OracleFactoredJL, OracleFactoredExact:
+		if !op {
+			return kind, fmt.Errorf("core: %s requires a factored or sparse constraint set, got %T", oracleNames[kind], set)
+		}
+	default:
+		return kind, fmt.Errorf("core: unknown oracle kind %d", kind)
+	}
+	return kind, nil
+}
+
+// oracleNames spells each OracleKind as its Go identifier, for errors.
+var oracleNames = [...]string{"OracleAuto", "OracleDenseExact", "OracleFactoredJL", "OracleFactoredExact"}
+
 // legacyEngineName maps a DecisionState.Engine tag to its canonical
 // form: states captured before the engine split carry "" and belong to
 // the only engine that existed, MMW.

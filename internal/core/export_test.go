@@ -12,7 +12,7 @@ type RefOracle struct{ o expOracle }
 // NewRefOracle builds the oracle opts selects for a run at eps on a
 // private workspace.
 func NewRefOracle(set ConstraintSet, eps float64, opts Options) (*RefOracle, error) {
-	o, err := buildOracle(set, eps, opts, work.New())
+	o, _, err := buildOracle(set, eps, opts, work.New())
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,8 @@ type MixedRun struct {
 	Capped int
 	// WarmStarted reports whether the warm vector seeded the iterate.
 	WarmStarted bool
+	// Engine names the engine the run used (EngineAuto resolved).
+	Engine string
 }
 
 // RunMixed runs the mixed packing/covering step rule — find x ≥ 0 with
@@ -38,7 +40,7 @@ func RunMixed(pack ConstraintSet, cover *matrix.Dense, eps float64, opts Options
 		return nil, err
 	}
 	r := d.rule.(*mixedRule)
-	return &MixedRun{X: d.x, Iterations: d.t, Capped: r.capped, WarmStarted: d.res.WarmStarted}, nil
+	return &MixedRun{X: d.x, Iterations: d.t, Capped: r.capped, WarmStarted: d.res.WarmStarted, Engine: d.engineName}, nil
 }
 
 // newMixedRun builds the run RunMixed drives: the covering rule, its
@@ -49,7 +51,9 @@ func newMixedRun(pack ConstraintSet, cover *matrix.Dense, eps float64, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	r := newMixedRule(d, cover, ResolveEngine(opts.Engine, pack, eps) == EngineALO)
+	eng := ResolveEngine(opts.Engine, pack, eps)
+	d.engineName = eng.String()
+	r := newMixedRule(d, cover, eng == EngineALO)
 	d.rule = r
 	d.maxIter = opts.MaxIter
 	if d.maxIter == 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -376,10 +375,6 @@ func (o *denseOracle) release() {
 		o.dec = eigen.Decomposition{}
 	}
 }
-
-// errNotDense is returned when a dense-only feature is requested from a
-// factored run.
-var errNotDense = errors.New("core: operation requires the dense oracle")
 
 // guardEps validates the accuracy parameter shared by all entry points.
 func guardEps(eps float64) error {

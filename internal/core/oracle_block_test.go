@@ -81,7 +81,7 @@ func midRunX(tb testing.TB, set PsiOperator) []float64 {
 	return x
 }
 
-// perRowRatios is the per-row form of the operator oracles' ratio
+// perRowRatios is the per-row form of the operator oracle's ratio
 // computation, independent of the loaded-coefficient block path: one
 // ExpMVInto per start vector (rows of starts, or the standard basis
 // when starts is nil) over the vector ApplyPsi with an explicit ×½,
@@ -136,11 +136,11 @@ func requireSameRatios(t *testing.T, what string, got []float64, gotLog float64,
 	}
 }
 
-// Both operator oracles advance their chains as one lockstep block;
-// every ratio and the log-trace must be bitwise what the per-row chains
-// give. The oracles share one workspace and run in turn, so the second
-// of each pair restores the other's stashed bundle and regrows its
-// block to a different width.
+// Both modes of the operator oracle advance their chains as one
+// lockstep block; every ratio and the log-trace must be bitwise what
+// the per-row chains give. The modes share one workspace and run in
+// turn, so the second of each pair restores the other's stashed bundle
+// and regrows its block to a different width.
 func TestOperatorRatiosBlockMatchesPerRow(t *testing.T) {
 	for _, fam := range opFamilies() {
 		t.Run(fam.name, func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestOperatorRatiosBlockMatchesPerRow(t *testing.T) {
 			x := midRunX(t, set)
 			ws := work.New()
 			for round := 0; round < 2; round++ {
-				jl := newOpJLOracle(set, 0.2, 9, nil, ws)
+				jl := newOpOracle(set, true, 0.2, 9, nil, ws)
 				if err := jl.init(x); err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +165,7 @@ func TestOperatorRatiosBlockMatchesPerRow(t *testing.T) {
 				}
 				jl.release()
 
-				ex := newOpExactOracle(set, 9, nil, ws)
+				ex := newOpOracle(set, false, 0, 9, nil, ws)
 				if err := ex.init(x); err != nil {
 					t.Fatal(err)
 				}
@@ -181,8 +181,8 @@ func TestOperatorRatiosBlockMatchesPerRow(t *testing.T) {
 	}
 }
 
-// BenchmarkOperatorRatios times one ratios call of each operator oracle
-// on each sparse-solve family at a mid-run dual point: the Lanczos
+// BenchmarkOperatorRatios times one ratios call of each operator-oracle
+// mode on each sparse-solve family at a mid-run dual point: the Lanczos
 // refresh, the lockstep exp(Ψ/2) block, and the ExpDots numerators.
 func BenchmarkOperatorRatios(b *testing.B) {
 	for _, fam := range opFamilies() {
@@ -195,8 +195,8 @@ func BenchmarkOperatorRatios(b *testing.B) {
 			name string
 			o    expOracle
 		}{
-			{"exact", newOpExactOracle(set, 9, nil, work.New())},
-			{"jl", newOpJLOracle(set, 0.2, 9, nil, work.New())},
+			{"exact", newOpOracle(set, false, 0, 9, nil, work.New())},
+			{"jl", newOpOracle(set, true, 0.2, 9, nil, work.New())},
 		}
 		for _, oc := range oracles {
 			b.Run(fam.name+"/"+oc.name, func(b *testing.B) {
@@ -306,7 +306,7 @@ func TestLambdaMaxAtZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o, err := buildOracle(set, 0.2, Options{}, work.New())
+			o, _, err := buildOracle(set, 0.2, Options{}, work.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func TestLambdaMaxAtZeroAlloc(t *testing.T) {
 				t.Errorf("warm lambdaMaxAt allocates %.1f per call, want 0", allocs)
 			}
 			// The oracle's own ratios are a fresh oracle's.
-			fresh, err := buildOracle(set, 0.2, Options{}, work.New())
+			fresh, _, err := buildOracle(set, 0.2, Options{}, work.New())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,15 +14,15 @@ import (
 	"repro/internal/work"
 )
 
-// This file implements the representation-agnostic operator oracles:
+// This file implements the representation-agnostic operator oracle:
 // every constraint representation exposing the PsiOperator primitives
 // (an O(nnz) Ψ·v and batched quadratic forms against a row block) gets
-// both the sketched bigDotExp oracle of Theorem 4.1 and the
-// deterministic column-exact oracle. FactoredSet and SparseSet share
-// this code path verbatim; the dense eigendecomposition oracle in
-// oracle.go remains the reference path for DenseSet.
+// the bigDotExp oracle of Theorem 4.1, in its sketched mode and in the
+// deterministic column-exact mode. FactoredSet and SparseSet share this
+// code path verbatim; the dense eigendecomposition oracle in oracle.go
+// remains the reference path for DenseSet.
 
-// opScratch is the per-run reusable state both operator oracles share:
+// opScratch is the per-run reusable state of both oracle modes:
 // reseedable randomness (one PCG reseeded per use instead of a fresh
 // generator per iteration — the streams are bitwise identical), the
 // ratio vector, the Lanczos workspace, the one Ψ-apply closure — Ψ·V
@@ -41,7 +41,7 @@ import (
 // time, so a restored bundle rebinds to the new oracle by overwriting
 // one holder field — the closure is never rebuilt. The buffers are
 // sized on first use and grow to the widest block they serve: the JL
-// and exact oracles of one decision run share a stash key and may swap
+// and exact modes of one decision run share a stash key and may swap
 // bundles between calls.
 type opScratch struct {
 	hold    *opHolder
@@ -122,8 +122,8 @@ func (sc *opScratch) lanczos(s1, s2 uint64, maxIter int, tol float64) (float64, 
 	})
 }
 
-// certLambda is the certificate-grade λ_max(Ψ(x)) of both operator
-// oracles from the reseeded stream (s1, s2): LambdaMaxPsi's tight
+// certLambda is the certificate-grade λ_max(Ψ(x)) of both oracle
+// modes from the reseeded stream (s1, s2): LambdaMaxPsi's tight
 // tolerance and Krylov depth, full reorthogonalization.
 func (sc *opScratch) certLambda(x []float64, s1, s2 uint64) (float64, error) {
 	sc.load(x, 1)
@@ -167,14 +167,6 @@ func (sc *opScratch) expHalf(dst, starts *matrix.Dense, normHalf, tol float64) f
 	return maxLog
 }
 
-// jlLanczosIter and exactLanczosIter cap the Krylov depth of the
-// oracles' per-iteration λ_max refreshes (certificate-grade calls at
-// finish use a deeper budget and may grow the basis lazily).
-const (
-	jlLanczosIter    = 48
-	exactLanczosIter = 64
-)
-
 // release returns the Lanczos basis rows to ws and stashes the whole
 // bundle for the next same-shaped init; the scratch reverts to its
 // unbuilt state. The closure's scratch stays inside the bundle — it is
@@ -194,134 +186,156 @@ func (sc *opScratch) release(ws *work.Workspace) {
 	*sc = opScratch{}
 }
 
-// opJLOracle is the bigDotExp primitive of Theorem 4.1 over any
+// opOracle is the bigDotExp primitive of Theorem 4.1 over any
 // PsiOperator:
 //
-//	exp(Ψ) • Aᵢ = Σ_r s_rᵀ·Aᵢ·s_r over rows of S = Π exp(Ψ/2),
+//	exp(Ψ) • Aᵢ = Σ_r s_rᵀ·Aᵢ·s_r over rows of S = B·exp(Ψ/2),
 //
-// estimated by sketching with a fresh Gaussian Π each iteration:
-// S is assembled from k = O(ε_s⁻² log m) ExpMV applications of exp(Ψ/2)
-// to the rows of Π (each O(q·κ) work), after which every constraint
-// costs O(k·nnz) through ExpDots (a sketch dot for factored sets, a
-// batched quadratic form for sparse sets), and Tr[exp(Ψ)] =
-// ‖exp(Ψ/2)‖_F² is estimated by ‖S‖_F². All quantities are carried in a
-// common log-scale so ‖Ψ‖₂ ~ K/ε never overflows.
+// for a block B of start rows, in one of two modes that differ only in
+// B and in their constants:
 //
-// All iteration state is retained across calls: the sketch matrix is
-// refilled (not reallocated), the PCG is reseeded (not reconstructed),
-// and all scratch lives in opScratch. The k chains run as one lockstep
-// block, never one fork per row, so a steady-state ratios call forks
-// only inside kernels whose work pays for it — and at GOMAXPROCS=1,
-// where the serial guards fire, allocates nothing.
-type opJLOracle struct {
-	set       PsiOperator
-	ws        *work.Workspace
-	x         []float64
-	sketchEps float64
-	rows      int
-	seed      uint64
-	iter      uint64
-	// lambdaEst is a running Lanczos estimate of λ_max(Ψ), refreshed
-	// every iteration (cheap: O(q) per Lanczos step) and used to bound
-	// the ExpMV segmentation.
+//   - JL (sketched): B = Π, a fresh Gaussian sketch refilled from
+//     (seed, iter) every call, k = O(ε_s⁻² log m) rows; the estimate
+//     carries (1±ε_s) noise.
+//   - Exact: B = I, all m basis vectors — deterministic, to ExpMV
+//     tolerance, at O((q + m²)·κ) per call. The cross-validation oracle
+//     for the JL mode on small instances and the fully deterministic
+//     production path for sparse sets.
+//
+// S is assembled from k ExpMV applications of exp(Ψ/2) (each O(q·κ)
+// work), after which every constraint costs O(k·nnz) through ExpDots
+// (a sketch dot for factored sets, a batched quadratic form for sparse
+// sets), and Tr[exp(Ψ)] = ‖exp(Ψ/2)‖_F² is estimated by ‖S‖_F². All
+// quantities are carried in a common log-scale so ‖Ψ‖₂ ~ K/ε never
+// overflows.
+//
+// All iteration state is retained across calls: the block is refilled
+// (not reallocated), the PCG is reseeded (not reconstructed), and all
+// scratch lives in opScratch. The k chains run as one lockstep block,
+// never one fork per row, so a steady-state ratios call forks only
+// inside kernels whose work pays for it — and at GOMAXPROCS=1, where
+// the serial guards fire, allocates nothing.
+type opOracle struct {
+	set  PsiOperator
+	ws   *work.Workspace
+	x    []float64
+	name string // error-text prefix
+	// sketched selects the JL mode. rows is k (sketch.Rows, or m in the
+	// exact mode); lanczosIter and lanczosTol drive the per-call λ_max
+	// refresh, tol the ExpMV truncation.
+	sketched    bool
+	rows        int
+	lanczosIter int
+	lanczosTol  float64
+	tol         float64
+	seed        uint64
+	iter        uint64
+	// lambdaEst is the per-call Lanczos estimate of λ_max(Ψ) (cheap:
+	// O(q) per Lanczos step), used to bound the ExpMV segmentation.
 	lambdaEst float64
 	st        *parallel.Stats
-	tol       float64
 	// ph, when non-nil, accumulates the Lanczos/ExpMV share of the
 	// oracle's time (SolveStats.ExpmNS).
 	ph *SolveStats
 
 	sc opScratch
-	jl *sketch.JL
-	s  *matrix.Dense // sketch rows through exp(Ψ/2)
+	jl *sketch.JL    // JL mode: the sketch Π
+	s  *matrix.Dense // the rows of B through exp(Ψ/2)
 }
 
-func newOpJLOracle(set PsiOperator, sketchEps float64, seed uint64, st *parallel.Stats, ws *work.Workspace) *opJLOracle {
+// jlLanczosIter and exactLanczosIter cap the Krylov depth of the
+// modes' per-call λ_max refreshes (certificate-grade calls at finish
+// use a deeper budget and may grow the basis lazily).
+const (
+	jlLanczosIter    = 48
+	exactLanczosIter = 64
+)
+
+// newOpOracle returns the operator oracle in the JL mode (sketched,
+// at sketch accuracy sketchEps; 0 means 0.2) or in the exact mode
+// (sketchEps unused).
+func newOpOracle(set PsiOperator, sketched bool, sketchEps float64, seed uint64, st *parallel.Stats, ws *work.Workspace) *opOracle {
+	o := &opOracle{set: set, ws: ws, sketched: sketched, seed: seed, st: st}
+	if !sketched {
+		o.name, o.rows, o.lanczosIter, o.lanczosTol, o.tol = "exact operator oracle", set.Dim(), exactLanczosIter, 1e-8, 1e-12
+		return o
+	}
 	if sketchEps <= 0 {
 		sketchEps = 0.2
 	}
-	return &opJLOracle{
-		set:       set,
-		ws:        ws,
-		sketchEps: sketchEps,
-		rows:      sketch.Rows(set.Dim(), sketchEps),
-		seed:      seed,
-		st:        st,
-		tol:       1e-10,
-	}
+	o.name, o.rows, o.lanczosIter, o.lanczosTol, o.tol = "operator oracle", sketch.Rows(set.Dim(), sketchEps), jlLanczosIter, 1e-6, 1e-10
+	return o
 }
 
-func (o *opJLOracle) init(x []float64) error {
+func (o *opOracle) init(x []float64) error {
 	if len(x) != o.set.N() {
-		return fmt.Errorf("core: operator oracle: x has %d entries, want %d", len(x), o.set.N())
+		return fmt.Errorf("core: %s: x has %d entries, want %d", o.name, len(x), o.set.N())
 	}
 	o.x = x
-	o.lambdaEst = 0
-	o.sc.init(o.set, o.ws, jlLanczosIter)
+	o.sc.init(o.set, o.ws, o.lanczosIter)
 	if o.s == nil {
 		o.s = o.ws.Mat(o.rows, o.set.Dim())
 	}
 	return nil
 }
 
-func (o *opJLOracle) update(_ []int, _ []float64, x []float64) error {
+func (o *opOracle) update(_ []int, _ []float64, x []float64) error {
 	o.x = x
 	return nil
 }
 
-// refreshLambda updates the Lanczos estimate of λ_max(Ψ). Lanczos
-// returns a lower bound; a 5% headroom makes it a safe ExpMV
-// segmentation bound (undershooting only lengthens the Taylor series a
-// little, it does not break correctness).
-func (o *opJLOracle) refreshLambda() error {
-	lam, err := o.sc.lanczos(o.seed^0xabcdef, o.iter, jlLanczosIter, 1e-6)
-	if err != nil {
-		return err
-	}
-	if lam < 0 {
-		lam = 0
-	}
-	o.lambdaEst = lam
-	return nil
-}
-
-func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
+func (o *opOracle) ratios() ([]float64, oracleInfo, error) {
 	var mark time.Time
 	if o.ph != nil {
 		mark = time.Now()
 	}
+	// Refresh the Lanczos estimate of λ_max(Ψ). Lanczos returns a lower
+	// bound; a 5% headroom makes it a safe ExpMV segmentation bound
+	// (undershooting only lengthens the Taylor series a little, it does
+	// not break correctness).
 	o.sc.load(o.x, o.rows)
-	if err := o.refreshLambda(); err != nil {
+	s1, s2 := o.seed, uint64(0xfeed)
+	if o.sketched {
+		s1, s2 = o.seed^0xabcdef, o.iter
+	}
+	lam, err := o.sc.lanczos(s1, s2, o.lanczosIter, o.lanczosTol)
+	if err != nil {
 		return nil, oracleInfo{}, err
 	}
 	if o.ph != nil {
 		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
 	}
+	o.lambdaEst = math.Max(lam, 0)
 	m := o.set.Dim()
 	n := o.set.N()
 	normHalf := 0.55*o.lambdaEst + 0.5 // bound for ‖Ψ/2‖ with headroom
 
-	// Fresh Gaussian Π each iteration: refill the held sketch from the
-	// reseeded stream (bitwise the same values a fresh sketch would get).
-	o.sc.pcg.Seed(o.seed, o.iter)
-	if o.jl == nil {
-		jl, err := sketch.NewWS(o.ws, o.rows, m, o.sc.rng)
-		if err != nil {
-			return nil, oracleInfo{}, err
+	// The JL mode draws a fresh Gaussian Π each call: it refills the
+	// held sketch from the reseeded stream (bitwise the same values a
+	// fresh sketch would get). The exact mode starts from the identity.
+	var starts *matrix.Dense
+	if o.sketched {
+		o.sc.pcg.Seed(o.seed, o.iter)
+		if o.jl == nil {
+			jl, err := sketch.NewWS(o.ws, o.rows, m, o.sc.rng)
+			if err != nil {
+				return nil, oracleInfo{}, err
+			}
+			o.jl = jl
+		} else {
+			o.jl.Refill(o.sc.rng)
 		}
-		o.jl = jl
-	} else {
-		o.jl.Refill(o.sc.rng)
+		o.iter++
+		starts = o.jl.M
 	}
-	o.iter++
 
-	// Rows of S: sᵣ = exp(Ψ/2)·Πᵣ, the k chains in one lockstep block,
+	// Rows of S: sᵣ = exp(Ψ/2)·Bᵣ, the k chains in one lockstep block,
 	// brought from their own log-scales to the common maximum L.
 	if o.ph != nil {
 		mark = time.Now()
 	}
 	s := o.s
-	maxLog := o.sc.expHalf(s, o.jl.M, normHalf, o.tol)
+	maxLog := o.sc.expHalf(s, starts, normHalf, o.tol)
 	if o.ph != nil {
 		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
 	}
@@ -329,7 +343,11 @@ func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
 	// trEst·e^{2L} ≈ Tr[exp(Ψ)] = ‖exp(Ψ/2)‖_F².
 	trEst := sumSquares(s.Data)
 	if trEst <= 0 || math.IsNaN(trEst) {
-		return nil, oracleInfo{}, fmt.Errorf("core: operator oracle: degenerate trace estimate %v", trEst)
+		what := "trace"
+		if o.sketched {
+			what = "trace estimate"
+		}
+		return nil, oracleInfo{}, fmt.Errorf("core: %s: degenerate %s %v", o.name, what, trEst)
 	}
 
 	// rᵢ = scale·(Aᵢ • SᵀS) / trEst (the e^{2L} factors cancel).
@@ -346,6 +364,30 @@ func (o *opJLOracle) ratios() ([]float64, oracleInfo, error) {
 		LambdaMax: o.lambdaEst,
 		LogTrW:    2*maxLog + math.Log(trEst),
 	}, nil
+}
+
+func (o *opOracle) lambdaMaxPsi() (float64, error) {
+	return o.sc.certLambda(o.x, o.seed^0x5eed, 0x7ea1)
+}
+
+func (o *opOracle) lambdaMaxAt(x []float64) (float64, error) {
+	o.sc.init(o.set, o.ws, o.lanczosIter)
+	return o.sc.certLambda(x, certSeed1, certSeed2)
+}
+
+func (o *opOracle) probability() *matrix.Dense { return nil }
+
+func (o *opOracle) release() {
+	o.sc.release(o.ws)
+	if o.s == nil {
+		return
+	}
+	o.ws.PutMat(o.s)
+	o.s = nil
+	if o.jl != nil {
+		o.ws.PutMat(o.jl.M)
+		o.jl = nil
+	}
 }
 
 // addRowsCost records the analytic cost of one operator-oracle call:
@@ -389,135 +431,4 @@ func sumSquaresSeg(a []float64, lo, hi int) float64 {
 		s += v * v
 	}
 	return s
-}
-
-func (o *opJLOracle) lambdaMaxPsi() (float64, error) {
-	return o.sc.certLambda(o.x, o.seed^0x5eed, 0x7ea1)
-}
-
-func (o *opJLOracle) lambdaMaxAt(x []float64) (float64, error) {
-	o.sc.init(o.set, o.ws, jlLanczosIter)
-	return o.sc.certLambda(x, certSeed1, certSeed2)
-}
-
-func (o *opJLOracle) probability() *matrix.Dense { return nil }
-
-func (o *opJLOracle) release() {
-	o.sc.release(o.ws)
-	if o.s == nil {
-		return
-	}
-	o.ws.PutMat(o.s)
-	o.s = nil
-	if o.jl != nil {
-		o.ws.PutMat(o.jl.M)
-		o.jl = nil
-	}
-}
-
-// opExactOracle evaluates exp(Ψ)•Aᵢ exactly (to ExpMV tolerance) by
-// applying exp(Ψ/2) to every basis vector and taking per-constraint
-// quadratic forms against the resulting rows, and Tr[exp(Ψ)] as
-// ‖exp(Ψ/2)‖_F². Deterministic but O((q + m²)·κ) per iteration — the
-// cross-validation oracle for the JL path on small instances, and the
-// fully deterministic production path for sparse sets. It shares the JL
-// oracle's buffer discipline and lockstep block through the same
-// opScratch; at GOMAXPROCS=1 a steady-state iteration performs zero
-// heap allocations (the serial guards skip every fork closure).
-type opExactOracle struct {
-	set       PsiOperator
-	ws        *work.Workspace
-	x         []float64
-	lambdaEst float64
-	seed      uint64
-	st        *parallel.Stats
-	// ph, when non-nil, accumulates the Lanczos/ExpMV share of the
-	// oracle's time (SolveStats.ExpmNS).
-	ph *SolveStats
-
-	sc   opScratch
-	cols *matrix.Dense
-}
-
-func newOpExactOracle(set PsiOperator, seed uint64, st *parallel.Stats, ws *work.Workspace) *opExactOracle {
-	return &opExactOracle{set: set, seed: seed, st: st, ws: ws}
-}
-
-func (o *opExactOracle) init(x []float64) error {
-	if len(x) != o.set.N() {
-		return fmt.Errorf("core: exact operator oracle: x has %d entries, want %d", len(x), o.set.N())
-	}
-	o.x = x
-	o.sc.init(o.set, o.ws, exactLanczosIter)
-	if o.cols == nil {
-		o.cols = o.ws.Mat(o.set.Dim(), o.set.Dim())
-	}
-	return nil
-}
-
-func (o *opExactOracle) update(_ []int, _ []float64, x []float64) error {
-	o.x = x
-	return nil
-}
-
-func (o *opExactOracle) ratios() ([]float64, oracleInfo, error) {
-	var mark time.Time
-	if o.ph != nil {
-		mark = time.Now()
-	}
-	o.sc.load(o.x, o.set.Dim())
-	lam, err := o.sc.lanczos(o.seed, 0xfeed, exactLanczosIter, 1e-8)
-	if err != nil {
-		return nil, oracleInfo{}, err
-	}
-	if o.ph != nil {
-		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
-	}
-	o.lambdaEst = math.Max(lam, 0)
-	m := o.set.Dim()
-	normHalf := 0.55*o.lambdaEst + 0.5
-
-	// Exponentiate the identity, all m basis vectors in one lockstep
-	// block: row r of cols is exp(Ψ/2)·e_r (symmetric, so rows = cols),
-	// at the shared log-scale as in the JL oracle.
-	cols := o.cols
-	if o.ph != nil {
-		mark = time.Now()
-	}
-	maxLog := o.sc.expHalf(cols, nil, normHalf, 1e-12)
-	if o.ph != nil {
-		o.ph.ExpmNS += time.Since(mark).Nanoseconds()
-	}
-	trEst := sumSquares(cols.Data)
-	if trEst <= 0 || math.IsNaN(trEst) {
-		return nil, oracleInfo{}, fmt.Errorf("core: exact operator oracle: degenerate trace %v", trEst)
-	}
-	n := o.set.N()
-	r := o.sc.r
-	o.set.ExpDots(r, cols)
-	for i := 0; i < n; i++ {
-		r[i] /= trEst
-	}
-	addRowsCost(o.st, m, o.set.NNZ(), normHalf, 1e-12, m)
-	return r, oracleInfo{LambdaMax: o.lambdaEst, LogTrW: 2*maxLog + math.Log(trEst)}, nil
-}
-
-func (o *opExactOracle) lambdaMaxPsi() (float64, error) {
-	return o.sc.certLambda(o.x, o.seed^0x5eed, 0x7ea1)
-}
-
-func (o *opExactOracle) lambdaMaxAt(x []float64) (float64, error) {
-	o.sc.init(o.set, o.ws, exactLanczosIter)
-	return o.sc.certLambda(x, certSeed1, certSeed2)
-}
-
-func (o *opExactOracle) probability() *matrix.Dense { return nil }
-
-func (o *opExactOracle) release() {
-	o.sc.release(o.ws)
-	if o.cols == nil {
-		return
-	}
-	o.ws.PutMat(o.cols)
-	o.cols = nil
 }

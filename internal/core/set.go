@@ -54,9 +54,9 @@ type ConstraintSet interface {
 // PsiOperator extends ConstraintSet with the allocation-free operator
 // primitives the exponential oracles are assembled from. Any
 // representation implementing it gets the full oracle pipeline for
-// free — the sketched bigDotExp of Theorem 4.1 (opJLOracle) and the
-// deterministic column-exact oracle (opExactOracle) are written against
-// this interface alone, so factored and general-sparse constraints
+// free — the operator oracle (opOracle: the sketched bigDotExp of
+// Theorem 4.1 and its deterministic column-exact mode) is written
+// against this interface alone, so factored and general-sparse constraints
 // share one decision/optimize/verify code path (and a future
 // representation only has to implement these primitives). DenseSet
 // deliberately does NOT implement it: the dense path's contract is the
@@ -199,15 +199,6 @@ func (s *DenseSet) applyPsiTmp(x, in, out, tmp []float64) {
 		ai.MulVecTo(tmp, in)
 		matrix.VecAXPY(out, s.scale*x[i], tmp)
 	}
-}
-
-// PsiDense materializes Ψ = Σᵢ xᵢAᵢ (scaled) as a dense matrix with one
-// blocked linear-combination pass over the entries (instead of n
-// sequential AXPY sweeps).
-func (s *DenseSet) PsiDense(x []float64) *matrix.Dense {
-	psi := matrix.New(s.m, s.m)
-	s.psiDenseInto(psi, x, make([]float64, len(x)))
-	return psi
 }
 
 // psiDenseInto materializes Ψ into psi using coeffs (length n) as

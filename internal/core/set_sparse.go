@@ -148,19 +148,3 @@ func (s *SparseSet) Densify() (*DenseSet, error) {
 	}
 	return NewDenseSet(as)
 }
-
-// SparsifyDense converts a dense set to the sparse representation,
-// dropping entries with |v| <= dropTol. The scale is preserved as a
-// view multiplier, not folded into the entries.
-func SparsifyDense(d *DenseSet, dropTol float64) (*SparseSet, error) {
-	as := make([]*sparse.CSC, len(d.A))
-	for i, ai := range d.A {
-		as[i] = sparse.CSCFromDense(ai, dropTol)
-	}
-	s, err := NewSparseSet(as)
-	if err != nil {
-		return nil, err
-	}
-	s.scale = d.scale
-	return s, nil
-}

@@ -13,8 +13,8 @@ import (
 // One operator-oracle call advances its rows' ExpMV chains side by side
 // in one lockstep block, so the analytic cost model must charge rows ×
 // one chain's work but only one chain's depth, plus the rows·q constraint dots of ExpDots. Both
-// oracles are pinned to that formula: the JL oracle over its sketch
-// rows, the exact oracle over all m basis columns.
+// modes are pinned to that formula: the JL mode over its sketch rows,
+// the exact mode over all m basis columns.
 func TestOperatorOracleWorkModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 9))
 	const m = 12
@@ -37,7 +37,7 @@ func TestOperatorOracleWorkModel(t *testing.T) {
 
 	t.Run("jl", func(t *testing.T) {
 		var st parallel.Stats
-		o := newOpJLOracle(set, 0.5, 3, &st, nil)
+		o := newOpOracle(set, true, 0.5, 3, &st, nil)
 		if err := o.init(x); err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestOperatorOracleWorkModel(t *testing.T) {
 	})
 	t.Run("exact", func(t *testing.T) {
 		var st parallel.Stats
-		o := newOpExactOracle(set, 3, &st, nil)
+		o := newOpOracle(set, false, 0, 3, &st, nil)
 		if err := o.init(x); err != nil {
 			t.Fatal(err)
 		}

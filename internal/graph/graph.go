@@ -51,17 +51,6 @@ func Path(n int) *Graph {
 	return g
 }
 
-// Complete returns K_n.
-func Complete(n int) *Graph {
-	g := &Graph{N: n}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.Edges = append(g.Edges, [2]int{u, v})
-		}
-	}
-	return g
-}
-
 // Grid returns the rows×cols grid graph.
 func Grid(rows, cols int) *Graph {
 	g := &Graph{N: rows * cols}

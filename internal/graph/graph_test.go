@@ -14,9 +14,6 @@ func TestCyclePathCompleteGrid(t *testing.T) {
 	if got := Path(5).M(); got != 4 {
 		t.Fatalf("P5 edges = %d", got)
 	}
-	if got := Complete(5).M(); got != 10 {
-		t.Fatalf("K5 edges = %d", got)
-	}
 	if got := Grid(2, 3).M(); got != 7 {
 		t.Fatalf("2x3 grid edges = %d", got)
 	}

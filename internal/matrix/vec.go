@@ -29,21 +29,6 @@ func Ones(n int) []float64 {
 	return v
 }
 
-// Basis returns the i-th standard basis vector of length n.
-func Basis(n, i int) []float64 {
-	v := make([]float64, n)
-	v[i] = 1
-	return v
-}
-
-// BasisInto overwrites v with the i-th standard basis vector.
-func BasisInto(v []float64, i int) {
-	for j := range v {
-		v[j] = 0
-	}
-	v[i] = 1
-}
-
 // VecAdd computes dst = a + b elementwise.
 func VecAdd(dst, a, b []float64) {
 	if parallel.SerialBlock(len(dst), parallel.WorkGrain(1)) {
@@ -248,24 +233,6 @@ func sumSeg(a []float64, lo, hi int) float64 {
 // VecNorm2 returns the Euclidean norm.
 func VecNorm2(a []float64) float64 {
 	return math.Sqrt(VecDot(a, a))
-}
-
-// VecNorm1 returns Σ |aᵢ|.
-func VecNorm1(a []float64) float64 {
-	if parallel.OneBlock(len(a), 4096) {
-		return norm1Seg(a, 0, len(a))
-	}
-	return parallel.SumBlocks(len(a), 4096, func(lo, hi int) float64 {
-		return norm1Seg(a, lo, hi)
-	})
-}
-
-func norm1Seg(a []float64, lo, hi int) float64 {
-	var s float64
-	for _, v := range a[lo:hi] {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // VecMax returns the maximum entry; it panics on empty input.

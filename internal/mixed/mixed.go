@@ -184,7 +184,7 @@ func Solve(p *Problem, eps float64, opts Options) (*Result, error) {
 		X:           run.X,
 		Iterations:  run.Iterations,
 		Capped:      run.Capped,
-		Engine:      core.ResolveEngine(opts.Engine, p.Pack, eps).String(),
+		Engine:      run.Engine,
 		WarmStarted: run.WarmStarted,
 	}
 	cx := make([]float64, p.Cover.R)

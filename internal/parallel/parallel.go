@@ -75,16 +75,6 @@ func WorkGrain(flopsPerItem int) int {
 	return max(forkFloor/flopsPerItem, 1)
 }
 
-// For runs body(i) for every i in [0, n), potentially in parallel.
-// body must be safe to call concurrently for distinct i.
-func For(n int, body func(i int)) {
-	ForBlock(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // ForBlock partitions [0, n) into contiguous blocks and runs body(lo, hi)
 // on each block, potentially in parallel. grain is the minimum block
 // size; if grain <= 0 a default is chosen. body must be safe to call

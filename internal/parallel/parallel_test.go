@@ -9,18 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100, 5000, 100000} {
-		seen := make([]atomic.Int32, max(n, 1))
-		For(n, func(i int) { seen[i].Add(1) })
-		for i := 0; i < n; i++ {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("n=%d: index %d visited %d times, want 1", n, i, got)
-			}
-		}
-	}
-}
-
 func TestForBlockDisjointCover(t *testing.T) {
 	for _, n := range []int{1, 3, 1024, 4097, 65536} {
 		var total atomic.Int64
@@ -171,7 +159,11 @@ func TestStatsNilSafe(t *testing.T) {
 
 func TestStatsConcurrent(t *testing.T) {
 	var s Stats
-	For(1000, func(i int) { s.Add(1, 0) })
+	ForBlock(1000, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.Add(1, 0)
+		}
+	})
 	if s.Work() != 1000 {
 		t.Fatalf("work=%d want 1000", s.Work())
 	}

@@ -108,7 +108,7 @@ func requestDigest(b *built, req *Request) (digest, error) {
 	z.str(b.k.name)
 	z.f64(req.Eps)
 	z.u64(req.Seed)
-	z.i64(int(canonicalOracle(b.opts.Oracle, b.set)))
+	z.i64(int(b.oracle))
 	z.i64(int(b.engine))
 	z.i64(req.MaxIter)
 	z.bool(req.Bucketed)
@@ -174,22 +174,6 @@ func ContentDigest(kind string, req *Request, defaultEngine core.EngineKind) (st
 		return store.Key{}, err
 	}
 	return b.d, nil
-}
-
-// canonicalOracle resolves OracleAuto to the concrete oracle the
-// solver would pick for the set, so "oracle omitted", "auto", and the
-// explicit name of the auto choice all share one content address
-// (they provably produce identical bytes). A nil set is the program
-// path, whose normalization always yields a dense instance.
-func canonicalOracle(kind core.OracleKind, set core.ConstraintSet) core.OracleKind {
-	if kind != core.OracleAuto {
-		return kind
-	}
-	switch set.(type) {
-	case *core.FactoredSet, *core.SparseSet:
-		return core.OracleFactoredJL
-	}
-	return core.OracleDenseExact
 }
 
 // hashSet canonicalizes a constraint set. Dense sets hash their entries

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -29,8 +28,8 @@ type kindSpec struct {
 	honours wireField
 	// resolveAuto makes the digest hash the engine "auto" resolves to,
 	// resolved exactly as the solver entrypoint resolves it (same set,
-	// same eps — mixed.Solve calls core.ResolveEngine on its packing
-	// set), so "auto" and the explicit name of its pick share one
+	// same eps — mixed.Solve's run resolves it on its packing set),
+	// so "auto" and the explicit name of its pick share one
 	// content address. Kinds without it hash "auto" unresolved: maximize
 	// resolves once at eps/4, not at the request's eps, and solve runs
 	// that Maximize on the normalized set, not the request's, so a
@@ -236,6 +235,10 @@ type built struct {
 	prob *mixed.Problem     // mixed only; prob.Pack is set
 	prog *core.Program      // programs only
 	rep  string
+	// oracle is the resolved oracle the digest hashes, so "oracle
+	// omitted", "auto" and the explicit name of the auto choice share
+	// one content address (they provably produce identical bytes).
+	oracle core.OracleKind
 	// engine is the engine the digest hashes (see resolveAuto). It is
 	// also the admission counters' engine label, so /statsz agrees with
 	// the cache identity about what a request ran.
@@ -284,8 +287,16 @@ func buildRequest(kind string, req *Request, defaultEngine core.EngineKind) (*bu
 	if err := k.payload.build(req, b); err != nil {
 		return nil, err
 	}
-	if err := oracleMatchesSet(opts.Oracle, b.set); err != nil {
-		return nil, err
+	// Resolving here front-loads the oracle/representation mismatch the
+	// solver would otherwise report from inside the pool, so it costs no
+	// queue slot and maps to 400 rather than 500. A program normalizes
+	// to a dense set.
+	set := b.set
+	if set == nil {
+		set = (*core.DenseSet)(nil)
+	}
+	if b.oracle, err = core.ResolveOracle(opts.Oracle, set); err != nil {
+		return nil, fmt.Errorf("serve: oracle %q: %w", req.Oracle, err)
 	}
 	b.rep = k.payload.reps[setIndex(b.set)]
 	if k.resolveAuto {
@@ -341,22 +352,4 @@ func setIndex(set core.ConstraintSet) int {
 		return 2
 	}
 	return 0
-}
-
-// oracleMatchesSet front-loads the oracle/representation mismatch the
-// solver would otherwise report from inside the pool, so it costs no
-// queue slot and maps to 400 rather than 500.
-func oracleMatchesSet(kind core.OracleKind, set core.ConstraintSet) error {
-	isDense := setIndex(set) == 0
-	switch kind {
-	case core.OracleDenseExact:
-		if !isDense {
-			return errors.New("serve: oracle \"dense\" requires a dense instance")
-		}
-	case core.OracleFactoredJL, core.OracleFactoredExact:
-		if isDense {
-			return errors.New("serve: oracles \"jl\" and \"exact\" require a factored or sparse instance")
-		}
-	}
-	return nil
 }

@@ -108,23 +108,3 @@ func (m *CSR) ToDense() *matrix.Dense {
 	}
 	return d
 }
-
-// FromDense converts a dense matrix to CSR, dropping entries with
-// |v| <= dropTol.
-func FromDense(d *matrix.Dense, dropTol float64) *CSR {
-	m := &CSR{R: d.R, C: d.C, RowPtr: make([]int, d.R+1)}
-	for i := 0; i < d.R; i++ {
-		for j := 0; j < d.C; j++ {
-			v := d.At(i, j)
-			if v > dropTol || v < -dropTol {
-				m.Col = append(m.Col, j)
-				m.Val = append(m.Val, v)
-				m.RowPtr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < d.R; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
-	}
-	return m
-}

@@ -82,7 +82,7 @@ func TestRaceSmokeKernels(t *testing.T) {
 		b.Data[i] = rng.NormFloat64()
 	}
 	spd := matrix.Gram(b, nil) // PSD by construction
-	if _, rank, err := chol.PivotedCholesky(spd, 1e-12); err != nil || rank != b.C {
+	if _, rank, err := chol.PivotedCholeskyWS(nil, spd, 1e-12); err != nil || rank != b.C {
 		t.Fatalf("PivotedCholesky: rank %d, err %v; want rank %d", rank, err, b.C)
 	}
 }
